@@ -9,8 +9,7 @@ per-cluster and global measure the package offers.
 
 import numpy as np
 
-from isoclust import PointCloud, kmeans, split_clusters
-from isoclust.cli import run_measure
+from isoclust import PointCloud, kmeans, run_measure, split_clusters
 
 # Three blobs of different sizes and spreads, stacked into one cloud.
 rng = np.random.default_rng(42)
@@ -28,20 +27,20 @@ sizes = split_clusters(cloud, result.assignment)
 print(f"cluster sizes: {[v.size for v in sizes]}")
 print()
 
-# run_measure is the CLI's engine; calling it directly returns the
-# report as plain dicts.
+# run_measure is the one measurement path, shared with the CLI; it
+# returns a MetricReport whose values are checked against their bounds.
 report = run_measure(cloud, result.assignment, vectors=1000, seed=0)
 
 print(f"{'metric':<24}" + "".join(f" {f'cluster {i}':>11}" for i in range(3)))
-for name, values in report["per_cluster"].items():
+for name, values in report.per_cluster.items():
     print(f"{name:<24}" + "".join(f" {v:>11.4f}" for v in values))
 
 print()
 print("global (size-weighted means and whole-clustering indices):")
-for name, value in sorted(report["global"].items()):
+for name, value in sorted(report.overall.items()):
     print(f"  {name:<24} {value:>10.4f}")
 
-if report["skipped_metrics"]:
-    print(f"skipped: {report['skipped_metrics']}")
-if report["degenerate_clusters"]:
-    print(f"degenerate clusters: {report['degenerate_clusters']}")
+if report.skipped:
+    print(f"skipped: {report.skipped}")
+if report.degenerate:
+    print(f"degenerate clusters: {report.degenerate}")

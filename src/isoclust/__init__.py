@@ -23,7 +23,8 @@ from .core import (
 )
 from .kmeans import KMeansResult, kmeans
 from .randmat import MpMoments, MpParams, expected_fa, expected_var_lambda, mp_moments, mp_pdf, mp_support
-from .spectral import SpectralSummary, fa_global, fractional_anisotropy, spectral_summary, var_lambda
+from .measure import run_measure
+from .spectral import SpectralSummary, fractional_anisotropy, spectral_summary, var_lambda
 from .synth import L_ARM_WIDTH, SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
 from .transforms import MinMaxRecord, RbfMap, minmax_apply, minmax_scale, pca_project, rbf_fit, rbf_transform
 from .validation import (
@@ -38,7 +39,6 @@ from .zmeasure import (
     DEFAULT_RND_COUNT,
     DirectionSet,
     isotropy_given_b,
-    isotropy_global,
     isotropy_rnd,
     isotropy_vec,
     random_unit_vectors,
@@ -72,11 +72,9 @@ __all__ = [
     "davies_bouldin",
     "expected_fa",
     "expected_var_lambda",
-    "fa_global",
     "fractional_anisotropy",
     "gaussian_cluster",
     "isotropy_given_b",
-    "isotropy_global",
     "isotropy_rnd",
     "isotropy_vec",
     "kmeans",
@@ -91,6 +89,7 @@ __all__ = [
     "random_unit_vectors",
     "rbf_fit",
     "rbf_transform",
+    "run_measure",
     "shape_cluster",
     "silhouette",
     "size_weighted_mean",

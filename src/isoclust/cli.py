@@ -17,58 +17,19 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    ClusterAssignment,
-    ClusterView,
-    DataError,
-    NumericError,
-    PointCloud,
-    size_weighted_mean,
-    split_clusters,
-)
+from .core import ClusterAssignment, ClusterView, DataError, NumericError, PointCloud
 from .kmeans import kmeans
+from .measure import METRICS, run_measure
 from .randmat import MpParams, expected_fa, expected_var_lambda, mp_moments, mp_support
 from .spectral import fractional_anisotropy, spectral_summary, var_lambda
 from .synth import SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
 from .transforms import RbfMap, minmax_scale, pca_project, rbf_fit, rbf_transform
-from .validation import (
-    calinski_harabasz,
-    cluster_size_variance,
-    davies_bouldin,
-    mean_dist_to_centroid,
-    mean_pairwise_dist,
-    silhouette,
-)
-from .zmeasure import isotropy_given_b, isotropy_rnd, isotropy_vec, random_unit_vectors
-
-PER_CLUSTER_METRICS = (
-    "var_lambda",
-    "fa",
-    "i_vec",
-    "i_rnd",
-    "mean_dist_to_centroid",
-    "mean_pairwise_dist",
-)
-GLOBAL_ONLY_METRICS = (
-    "silhouette",
-    "davies_bouldin",
-    "calinski_harabasz",
-    "cluster_size_variance",
-)
-ALL_METRICS = PER_CLUSTER_METRICS + GLOBAL_ONLY_METRICS
-# global companion name of each aggregated per-cluster metric
-GLOBAL_COMPANION = {
-    "var_lambda": "var_lambda_g",
-    "fa": "fa_g",
-    "i_vec": "i_g_vec",
-    "i_rnd": "i_g_rnd",
-}
+from .zmeasure import isotropy_rnd, isotropy_vec
 
 
 # ---------------------------------------------------------------------------
@@ -153,102 +114,6 @@ def _write_json(path, doc):
 # measure
 
 
-def _measure_one_cluster(view, metrics, rnd_set, fa_normalized):
-    values: dict[str, float] = {}
-    times: dict[str, float] = {}
-    for name in metrics:
-        if name not in PER_CLUSTER_METRICS:
-            continue
-        t0 = time.perf_counter()
-        if name == "var_lambda":
-            values[name] = float(var_lambda(spectral_summary(view)))
-        elif name == "fa":
-            values[name] = fractional_anisotropy(spectral_summary(view), normalized=fa_normalized)
-        elif name == "i_vec":
-            values[name] = isotropy_vec(view)
-        elif name == "i_rnd":
-            values[name] = 1.0 if view.degenerate else isotropy_given_b(view, rnd_set)
-        elif name == "mean_dist_to_centroid":
-            values[name] = mean_dist_to_centroid(view)
-        elif name == "mean_pairwise_dist":
-            values[name] = mean_pairwise_dist(view)
-        times[name] = time.perf_counter() - t0
-    return values, times
-
-
-def run_measure(
-    cloud: PointCloud,
-    assignment: ClusterAssignment,
-    metrics=None,
-    vectors: int = 1000,
-    seed: int = 0,
-    fa_normalized: bool = False,
-    threads: int = 1,
-):
-    """Compute the selected metrics for one clustering.
-
-    Returns a dict with per-cluster values, size-weighted global
-    values, degenerate-cluster flags, skipped metrics and timings.
-    Results are independent of the thread count.
-    """
-    explicit = metrics is not None
-    selected = list(metrics) if explicit else list(ALL_METRICS)
-    unknown = [m for m in selected if m not in ALL_METRICS]
-    if unknown:
-        raise DataError(f"unknown metrics: {', '.join(unknown)} (known: {', '.join(ALL_METRICS)})")
-    views = split_clusters(cloud, assignment)
-    sizes = [v.size for v in views]
-
-    rnd_set = None
-    if "i_rnd" in selected:
-        rnd_set = random_unit_vectors(cloud.n_dims, vectors, seed)
-
-    per_metrics = [m for m in selected if m in PER_CLUSTER_METRICS]
-    if threads > 1 and len(views) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda v: _measure_one_cluster(v, per_metrics, rnd_set, fa_normalized), views)
-            )
-    else:
-        results = [_measure_one_cluster(v, per_metrics, rnd_set, fa_normalized) for v in views]
-
-    per_cluster: dict[str, list[float]] = {"size": [float(s) for s in sizes]}
-    timings: dict[str, float] = {}
-    for name in per_metrics:
-        per_cluster[name] = [res[0][name] for res in results]
-        timings[name] = sum(res[1][name] for res in results)
-
-    overall: dict[str, float] = {}
-    skipped: dict[str, str] = {}
-    for name in per_metrics:
-        companion = GLOBAL_COMPANION.get(name)
-        if companion:
-            overall[companion] = size_weighted_mean(per_cluster[name], sizes)
-    for name in (m for m in selected if m in GLOBAL_ONLY_METRICS):
-        fn = {
-            "silhouette": silhouette,
-            "davies_bouldin": davies_bouldin,
-            "calinski_harabasz": calinski_harabasz,
-            "cluster_size_variance": cluster_size_variance,
-        }[name]
-        t0 = time.perf_counter()
-        try:
-            overall[name] = fn(views)
-        except DataError as exc:
-            if explicit:
-                raise
-            skipped[name] = str(exc)
-        timings[name] = time.perf_counter() - t0
-
-    return {
-        "per_cluster": per_cluster,
-        "global": overall,
-        "degenerate_clusters": [v.cluster_id for v in views if v.degenerate],
-        "skipped_metrics": skipped,
-        "timings_s": timings,
-    }
-
-
 def cmd_measure(args) -> int:
     metrics = args.metrics.split(",") if args.metrics else None
     cloud, assignment, mapping = read_cloud_csv(args.input, args.label_column)
@@ -260,7 +125,7 @@ def cmd_measure(args) -> int:
             "label_column": args.label_column,
             "kmeans": args.kmeans,
             "kmeans_multi": args.kmeans_multi,
-            "metrics": metrics or list(ALL_METRICS),
+            "metrics": metrics or list(METRICS),
             "vectors": args.vectors,
             "seed": args.seed,
             "fa_normalized": args.fa_normalized,
@@ -280,9 +145,8 @@ def cmd_measure(args) -> int:
             seed=args.seed,
             fa_normalized=args.fa_normalized,
             threads=args.threads,
-        )
-        timings = section.pop("timings_s")
-        return section, timings
+        ).to_dict()
+        return section, section.pop("metadata")["timings_s"]
 
     if args.kmeans_multi:
         ks = _parse_int_list(args.kmeans_multi, "--kmeans-multi")
@@ -585,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K1,K2",
         help="run k-means at several K (default 5,10) and average global metrics",
     )
-    p.add_argument("--metrics", help=f"comma list from: {','.join(ALL_METRICS)} (default: all)")
+    p.add_argument("--metrics", help=f"comma list from: {','.join(METRICS)} (default: all)")
     p.add_argument("--vectors", type=int, default=1000, help="random directions for i_rnd")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fa-normalized", action="store_true", help="scale FA so a one-hot spectrum is 1")

@@ -106,7 +106,8 @@ class ClusterView:
     member rows on access.  The centroid and the dispersion scale
     ``mu`` (mean member distance to the centroid) are computed once and
     cached.  ``mu == 0`` marks a degenerate cluster (a single point or
-    coincident points).
+    coincident points).  A cluster so spread out that ``mu`` overflows
+    float64 raises ``NumericError``.
     """
 
     def __init__(self, parent: PointCloud, indices, cluster_id: int = 0):
@@ -119,8 +120,11 @@ class ClusterView:
         self.indices = idx
         self.cluster_id = int(cluster_id)
         members = parent.data[idx]
-        self.centroid = members.mean(axis=0)
-        self.mu = float(np.linalg.norm(members - self.centroid, axis=1).mean())
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            self.centroid = members.mean(axis=0)
+            self.mu = float(np.linalg.norm(members - self.centroid, axis=1).mean())
+        if not np.isfinite(self.mu):
+            raise NumericError(f"cluster {self.cluster_id}: dispersion scale mu overflows float64")
 
     @property
     def points(self) -> np.ndarray:
@@ -209,7 +213,8 @@ class MetricReport:
 
     ``per_cluster`` maps a metric name to one value per cluster id;
     ``overall`` maps a metric name to a single value; ``degenerate``
-    lists ids of clusters that hit the degenerate sentinel.  Every
+    lists ids of clusters that hit the degenerate sentinel; ``skipped``
+    maps a metric that does not apply to the reason.  Every
     bounded metric is checked against its documented range on
     construction.  ``metadata`` carries seeds, counts and timings and
     is excluded from determinism guarantees.
@@ -218,6 +223,7 @@ class MetricReport:
     per_cluster: dict[str, list[float]] = field(default_factory=dict)
     overall: dict[str, float] = field(default_factory=dict)
     degenerate: list[int] = field(default_factory=list)
+    skipped: dict[str, str] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -235,5 +241,6 @@ class MetricReport:
             "per_cluster": {k: [float(x) for x in v] for k, v in self.per_cluster.items()},
             "global": {k: float(v) for k, v in self.overall.items()},
             "degenerate_clusters": list(self.degenerate),
+            "skipped_metrics": dict(self.skipped),
             "metadata": dict(self.metadata),
         }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ClusterView, DataError, size_weighted_mean
+from .core import ClusterView, DataError
 
 
 class SpectralSummary:
@@ -139,10 +139,3 @@ def fractional_anisotropy(s, normalized: bool = False) -> float:
         return 0.0
     return min(1.0, float(np.sqrt(n / (n - 1.0)) * raw))
 
-
-def fa_global(views: list[ClusterView], normalized: bool = False) -> float:
-    """Size-weighted mean fractional anisotropy over a set of clusters."""
-    if not views:
-        raise DataError("fa_global needs at least one cluster")
-    fas = [fractional_anisotropy(spectral_summary(v), normalized=normalized) for v in views]
-    return size_weighted_mean(fas, [v.size for v in views])

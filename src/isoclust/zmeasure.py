@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import ClusterView, DataError, size_weighted_mean
+from .core import ClusterView, DataError, center_and_scale
 from .spectral import spectral_summary
 
 DEFAULT_RND_COUNT = 1000
@@ -103,12 +103,6 @@ def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     return DirectionSet(raw / norms[:, None], provenance=f"random(seed={seed}, count={count})")
 
 
-def _scaled_members(view: ClusterView) -> np.ndarray:
-    if view.degenerate:
-        raise DataError("degenerate cluster: dispersion scale mu is zero")
-    return (view.points - view.centroid) / view.mu
-
-
 def z_raw(view: ClusterView, a) -> float:
     """Raw exponential functional sum exp(a . d) over the cluster's points.
 
@@ -125,7 +119,7 @@ def z_prime(view: ClusterView, a) -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (view.n_dims,):
         raise DataError(f"direction has shape {a.shape}, cluster has {view.n_dims} dims")
-    return float(np.exp(logsumexp(_scaled_members(view) @ a)))
+    return float(np.exp(logsumexp(center_and_scale(view, view.points) @ a)))
 
 
 def _log_z_both(scaled: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -144,7 +138,7 @@ def isotropy_given_b(view: ClusterView, b: DirectionSet) -> float:
         raise DataError(f"direction set in {b.n_dims} dims, cluster in {view.n_dims}")
     if view.degenerate:
         return 1.0
-    logs = _log_z_both(_scaled_members(view), b.vectors)
+    logs = _log_z_both(center_and_scale(view, view.points), b.vectors)
     return min(1.0, float(np.exp(logs.min() - logs.max())))
 
 
@@ -166,32 +160,3 @@ def isotropy_rnd(view: ClusterView, count: int = DEFAULT_RND_COUNT, seed: int = 
         return 1.0
     return isotropy_given_b(view, random_unit_vectors(view.n_dims, count, seed))
 
-
-def isotropy_global(
-    views: list[ClusterView],
-    method: str = "vec",
-    count: int = DEFAULT_RND_COUNT,
-    seed: int = 0,
-) -> float:
-    """Size-weighted mean isotropy over a set of clusters.
-
-    With ``method="rnd"``, clusters of equal dimensionality share one
-    direction set drawn once from ``seed``.
-    """
-    if not views:
-        raise DataError("isotropy_global needs at least one cluster")
-    if method == "vec":
-        values = [isotropy_vec(v) for v in views]
-    elif method == "rnd":
-        shared: dict[int, DirectionSet] = {}
-        values = []
-        for v in views:
-            if v.degenerate:
-                values.append(1.0)
-                continue
-            if v.n_dims not in shared:
-                shared[v.n_dims] = random_unit_vectors(v.n_dims, count, seed)
-            values.append(isotropy_given_b(v, shared[v.n_dims]))
-    else:
-        raise DataError(f"unknown method {method!r}, expected 'vec' or 'rnd'")
-    return size_weighted_mean(values, [v.size for v in views])

@@ -133,9 +133,9 @@ def test_measure_deterministic_outside_metadata(blobs_csv, tmp_path):
 
 def test_measure_thread_count_does_not_change_values(blobs_csv):
     cloud, assignment, _ = read_cloud_csv(blobs_csv, label_column="label")
-    single = run_measure(cloud, assignment, threads=1)
-    multi = run_measure(cloud, assignment, threads=3)
-    single.pop("timings_s"), multi.pop("timings_s")
+    single = run_measure(cloud, assignment, threads=1).to_dict()
+    multi = run_measure(cloud, assignment, threads=3).to_dict()
+    single.pop("metadata"), multi.pop("metadata")
     assert single == multi
 
 
@@ -252,6 +252,18 @@ def test_numeric_error_exit_4(tmp_path, capsys, monkeypatch):
                  "--empirical", "0", "--output", str(tmp_path / "mp.csv")])
     assert code == 4
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_measure_dispersion_overflow_exits_4(tmp_path, capsys):
+    # mu of cluster a overflows float64; a report would hold NaN and Infinity
+    csv_path = write_text(
+        tmp_path / "huge.csv",
+        "x,y,label\n1e155,0,a\n-1e155,1,a\n0,2,a\n5,5,b\n6,5,b\n5,7,b\n",
+    )
+    out = tmp_path / "report.json"
+    assert main(["measure", "--input", csv_path, "--label-column", "label", "--output", str(out)]) == 4
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_exits_zero(capsys):

@@ -5,7 +5,6 @@ from isoclust import (
     ClusterView,
     DataError,
     PointCloud,
-    fa_global,
     fractional_anisotropy,
     spectral_summary,
     var_lambda,
@@ -147,12 +146,3 @@ def test_spectrum_invariant_to_rigid_motion_and_scale():
         assert fractional_anisotropy(other) == pytest.approx(fractional_anisotropy(base), abs=1e-8)
         assert var_lambda(other) == pytest.approx(var_lambda(base), abs=1e-8)
 
-
-def test_fa_global_weighted():
-    cloud = PointCloud(np.array(CROSS + [[5 + 1, 5], [5 - 1, 5]], dtype=float))
-    views = [ClusterView(cloud, [0, 1, 2, 3], 0), ClusterView(cloud, [4, 5], 1)]
-    # cross: FA 0; collinear pair: FA sqrt(0.5); sizes 4 and 2
-    expect = (4 * 0.0 + 2 * np.sqrt(0.5)) / 6
-    assert fa_global(views) == pytest.approx(expect, abs=1e-12)
-    with pytest.raises(DataError):
-        fa_global([])

@@ -7,7 +7,6 @@ from isoclust import (
     DirectionSet,
     PointCloud,
     isotropy_given_b,
-    isotropy_global,
     isotropy_rnd,
     isotropy_vec,
     random_unit_vectors,
@@ -241,23 +240,3 @@ def test_degenerate_sentinels():
     assert isotropy_rnd(degenerate, count=10, seed=0) == 1.0
     assert isotropy_given_b(degenerate, AXES) == 1.0
 
-
-def test_isotropy_global_weighted_and_shared():
-    cloud = PointCloud(
-        np.vstack([CROSS.points, COLLINEAR.points + [10, 10]]).astype(float)
-    )
-    views = [ClusterView(cloud, [0, 1, 2, 3], 0), ClusterView(cloud, [4, 5], 1)]
-    expect = (4 * isotropy_vec(views[0]) + 2 * isotropy_vec(views[1])) / 6
-    assert isotropy_global(views, method="vec") == pytest.approx(expect, abs=1e-12)
-
-    shared = random_unit_vectors(2, 100, seed=5)
-    expect_rnd = (
-        4 * isotropy_given_b(views[0], shared) + 2 * isotropy_given_b(views[1], shared)
-    ) / 6
-    assert isotropy_global(views, method="rnd", count=100, seed=5) == pytest.approx(
-        expect_rnd, abs=1e-12
-    )
-    with pytest.raises(DataError):
-        isotropy_global(views, method="nope")
-    with pytest.raises(DataError):
-        isotropy_global([])
