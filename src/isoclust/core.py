@@ -106,8 +106,9 @@ class ClusterView:
     member rows on access.  The centroid and the dispersion scale
     ``mu`` (mean member distance to the centroid) are computed once and
     cached.  ``mu == 0`` marks a degenerate cluster (a single point or
-    coincident points).  A cluster so spread out that ``mu`` overflows
-    float64 raises ``NumericError``.
+    coincident points).  A cluster so spread out that its total squared
+    distance to the centroid overflows float64 raises ``NumericError``:
+    its scatter matrix could not be formed.
     """
 
     def __init__(self, parent: PointCloud, indices, cluster_id: int = 0):
@@ -120,11 +121,14 @@ class ClusterView:
         self.indices = idx
         self.cluster_id = int(cluster_id)
         members = parent.data[idx]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        with np.errstate(over="ignore", invalid="ignore"):
             self.centroid = members.mean(axis=0)
-            self.mu = float(np.linalg.norm(members - self.centroid, axis=1).mean())
-        if not np.isfinite(self.mu):
-            raise NumericError(f"cluster {self.cluster_id}: dispersion scale mu overflows float64")
+            deviations = members - self.centroid
+            sq_dist = (deviations * deviations).sum(axis=1)
+            # the total bounds every scatter and Gram matrix entry
+            if not np.isfinite(sq_dist.sum()):
+                raise NumericError(f"cluster {self.cluster_id}: squared dispersion overflows float64")
+            self.mu = float(np.sqrt(sq_dist).mean())
 
     @property
     def points(self) -> np.ndarray:
@@ -205,6 +209,8 @@ def _check_bounds(name: str, value: float) -> None:
             if not (lo - _BOUND_SLACK <= value <= hi + _BOUND_SLACK):
                 raise NumericError(f"{name} = {value} outside documented bound [{lo}, {hi}]")
             return
+    if not np.isfinite(value):
+        raise NumericError(f"{name} = {value} is not finite")
 
 
 @dataclass
@@ -214,10 +220,10 @@ class MetricReport:
     ``per_cluster`` maps a metric name to one value per cluster id;
     ``overall`` maps a metric name to a single value; ``degenerate``
     lists ids of clusters that hit the degenerate sentinel; ``skipped``
-    maps a metric that does not apply to the reason.  Every
-    bounded metric is checked against its documented range on
-    construction.  ``metadata`` carries seeds, counts and timings and
-    is excluded from determinism guarantees.
+    maps a metric that does not apply to the reason.  On construction
+    every bounded metric is checked against its documented range and
+    every other metric for finiteness.  ``metadata`` carries seeds,
+    counts and timings and is excluded from determinism guarantees.
     """
 
     per_cluster: dict[str, list[float]] = field(default_factory=dict)

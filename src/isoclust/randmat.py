@@ -17,9 +17,12 @@ fractional-anisotropy and Var(lambda) formulas predicts the measured
 values directly.  ``mp_moments`` reports the raw mass so the deficit
 is visible; normalized per-mass moments are exposed alongside.
 
-Moments are computed by adaptive quadrature after the substitution
-L = L_min + (L_max - L_min) sin^2(theta), which absorbs the inverse
-square-root endpoint singularities.
+With a = L_min and b = L_max the three integrals have exact closed
+forms, shift and clamped lower edge included:
+
+    mass   = (b - a)^2 / (4 sigma^2 (sqrt(a) + sqrt(b))^2)
+    E(L)   = (b - a)^2 / (16 sigma^2)
+    E(L^2) = (b - a)^2 (a + b) / (32 sigma^2)
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import DataError, NumericError
 
@@ -56,8 +58,8 @@ class MpMoments:
     """Raw integrals of the spectral density and its first two moments.
 
     e_lambda and e_lambda2 are the unnormalized integrals of L*pdf and
-    L^2*pdf; mass is the integral of the pdf itself (min(T, n)/n up to
-    quadrature error).  The *_normalized properties divide by mass.
+    L^2*pdf; mass is the integral of the pdf itself (min(T, n)/n when
+    mu = 0).  The *_normalized properties divide by mass.
     """
 
     e_lambda: float
@@ -96,65 +98,46 @@ def mp_pdf(params: MpParams, lam) -> np.ndarray | float:
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     out = np.zeros_like(lam_arr)
-    inside = (lam_arr > lo) & (lam_arr < hi) & (lam_arr > 0)
+    inside = (lam_arr > lo) & (lam_arr < hi)
     lv = lam_arr[inside]
     out[inside] = np.sqrt((hi - lv) * (lv - lo)) / (2.0 * np.pi * params.sigma2 * lv)
     return float(out[0]) if scalar else out
 
 
-def mp_moments(params: MpParams, epsrel: float = 1e-8) -> MpMoments:
-    """Adaptive quadrature of pdf, L*pdf and L^2*pdf over the support.
+def mp_moments(params: MpParams) -> MpMoments:
+    """Closed-form integrals of pdf, L*pdf and L^2*pdf over the support.
 
-    Uses the sin^2 substitution so the integrand is smooth at the
-    endpoints; raises NumericError if the quadrature does not converge
-    to the requested relative tolerance.
+    The mass is written with (sqrt(a) + sqrt(b))^2 in the denominator;
+    the equal (sqrt(b) - sqrt(a))^2 / (4 sigma^2) loses digits to
+    cancellation when the support is narrow.
     """
     lo, hi = mp_support(params)
-    width = hi - lo
-    norm = width * width / (np.pi * params.sigma2)
-
-    def integrand(theta: float, power: int) -> float:
-        s2 = np.sin(theta) ** 2
-        lam = lo + width * s2
-        base = norm * s2 * (1.0 - s2)  # sin^2 cos^2 from density and Jacobian
-        if lam <= 0.0:
-            # only reachable at theta = 0 when lo == 0; the limit is finite
-            return base if power == 1 else 0.0
-        return base * lam ** (power - 1)
-
-    values = []
-    for power in (0, 1, 2):
-        val, _, info, *tail = quad(
-            integrand, 0.0, np.pi / 2, args=(power,),
-            epsabs=0.0, epsrel=epsrel, limit=200, full_output=True,
-        )
-        if tail:
-            raise NumericError(f"quadrature failed for moment {power}: {tail[0]}")
-        values.append(float(val))
-    mass, e1, e2 = values
+    width2 = (hi - lo) ** 2
+    sigma2 = params.sigma2
+    mass = float(width2 / (4.0 * sigma2 * (np.sqrt(lo) + np.sqrt(hi)) ** 2))
+    e1 = width2 / (16.0 * sigma2)
+    e2 = width2 * (lo + hi) / (32.0 * sigma2)
     if mass <= 0 or e1 <= 0:
         raise NumericError(f"non-positive spectral mass/mean: mass={mass}, E={e1}")
     return MpMoments(e_lambda=e1, e_lambda2=e2, mass=mass)
 
 
-def expected_fa(params: MpParams, epsrel: float = 1e-8) -> float:
+def expected_fa(params: MpParams) -> float:
     """Predicted raw fractional anisotropy of a Gaussian cluster.
 
     sqrt(1 - E(L)^2 / E(L^2)) over the full n-eigenvalue spectrum,
     zeros included, so the raw integrals are used directly.
     """
-    m = mp_moments(params, epsrel=epsrel)
-    if m.e_lambda2 <= 0:
-        return 0.0
+    m = mp_moments(params)
     return float(np.sqrt(max(0.0, 1.0 - m.e_lambda**2 / m.e_lambda2)))
 
 
-def expected_var_lambda(params: MpParams, epsrel: float = 1e-8) -> float:
+def expected_var_lambda(params: MpParams) -> float:
     """Predicted Var(lambda) of a Gaussian cluster.
 
     Spectrum variance over the squared spectrum total:
     (E(L^2) - E(L)^2) / (n E(L))^2, with full-spectrum raw moments.
     """
-    m = mp_moments(params, epsrel=epsrel)
+    m = mp_moments(params)
     var = m.e_lambda2 - m.e_lambda**2
     return float(max(0.0, var) / (params.dims * m.e_lambda) ** 2)

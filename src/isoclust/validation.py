@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import ClusterView, DataError
+from .core import ClusterView, DataError, NumericError
 
 
 def mean_dist_to_centroid(view: ClusterView) -> float:
@@ -88,7 +88,8 @@ def davies_bouldin(views: list[ClusterView]) -> float:
 def calinski_harabasz(views: list[ClusterView]) -> float:
     """Calinski-Harabasz index: between/within dispersion ratio
     (BSS / (k-1)) / (WSS / (|E|-k)).  Zero within-cluster dispersion is
-    a degenerate-dispersion error.
+    a degenerate-dispersion error; a sum of squares that overflows
+    float64 is a ``NumericError``.
     """
     _stack(views)
     k = len(views)
@@ -99,6 +100,8 @@ def calinski_harabasz(views: list[ClusterView]) -> float:
     grand = data.mean(axis=0)
     bss = sum(v.size * float(((v.centroid - grand) ** 2).sum()) for v in views)
     wss = sum(float(((v.points - v.centroid) ** 2).sum()) for v in views)
+    if not (np.isfinite(bss) and np.isfinite(wss)):
+        raise NumericError(f"Calinski-Harabasz sums of squares overflow float64: BSS={bss}, WSS={wss}")
     if wss == 0.0:
         raise DataError("degenerate dispersion: zero within-cluster scatter")
     return float((bss / (k - 1)) / (wss / (n - k)))

@@ -254,15 +254,27 @@ def test_numeric_error_exit_4(tmp_path, capsys, monkeypatch):
     assert "numeric error" in capsys.readouterr().err
 
 
-def test_measure_dispersion_overflow_exits_4(tmp_path, capsys):
-    # mu of cluster a overflows float64; a report would hold NaN and Infinity
-    csv_path = write_text(
-        tmp_path / "huge.csv",
-        "x,y,label\n1e155,0,a\n-1e155,1,a\n0,2,a\n5,5,b\n6,5,b\n5,7,b\n",
-    )
+@pytest.mark.parametrize(
+    "rows,metrics,message",
+    [
+        # cluster a's scatter matrix overflows although mu is finite
+        ("1e154,0,a\n-1e154,1,a\n0,2,a\n5,5,b\n6,5,b\n5,7,b\n", "var_lambda,fa",
+         "cluster 0: squared dispersion overflows"),
+        # the scatter trace is finite (1.62e308) but a pairwise distance is not
+        ("9e153,0,a\n-9e153,1,a\n5,5,b\n6,5,b\n5,7,b\n", "mean_pairwise_dist",
+         "mean_pairwise_dist = inf is not finite"),
+        # each cluster's trace is finite, their sum is not
+        ("9e153,0,a\n-9e153,0,a\n0,9e153,b\n0,-9e153,b\n1,1,c\n2,1,c\n1,3,c\n", "calinski_harabasz",
+         "Calinski-Harabasz sums of squares overflow"),
+    ],
+    ids=["scatter", "pairwise", "calinski_harabasz"],
+)
+def test_measure_dispersion_overflow_exits_4(tmp_path, capsys, rows, metrics, message):
+    csv_path = write_text(tmp_path / "huge.csv", "x,y,label\n" + rows)
     out = tmp_path / "report.json"
-    assert main(["measure", "--input", csv_path, "--label-column", "label", "--output", str(out)]) == 4
-    assert "overflows" in capsys.readouterr().err
+    argv = ["measure", "--input", csv_path, "--label-column", "label", "--metrics", metrics]
+    assert main(argv + ["--output", str(out)]) == 4
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -123,6 +123,10 @@ def test_metric_report_checks_bounds():
         MetricReport(overall={"i_vec": 1.5})
     with pytest.raises(NumericError):
         MetricReport(per_cluster={"var_lambda": [0.3]})
+    with pytest.raises(NumericError, match="not finite"):
+        MetricReport(per_cluster={"mean_pairwise_dist": [1.0, float("inf")]})
+    with pytest.raises(NumericError, match="not finite"):
+        MetricReport(overall={"calinski_harabasz": float("nan")})
     with pytest.raises(DataError):
         MetricReport(per_cluster={"fa": [0.1], "i_vec": [0.1, 0.2]})
 

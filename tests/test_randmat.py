@@ -89,6 +89,58 @@ def closed_forms(points, dims, sigma2):
     return min(c, 1.0), c * sigma2, c * sigma2**2 * (1 + c)
 
 
+def quadrature_moments(params):
+    """Reference (mass, E(L), E(L^2)) by adaptive quadrature of the density.
+
+    The substitution L = lo + (hi - lo) sin^2(theta) absorbs the inverse
+    square-root endpoint singularities, leaving a smooth integrand.
+    """
+    lo, hi = mp_support(params)
+    width = hi - lo
+    norm = width * width / (np.pi * params.sigma2)
+
+    def integrand(theta, power):
+        s2 = np.sin(theta) ** 2
+        lam = lo + width * s2
+        base = norm * s2 * (1.0 - s2)  # sin^2 cos^2 from density and Jacobian
+        if lam <= 0.0:
+            # only reachable at theta = 0 when lo == 0; the limit is finite
+            return base if power == 1 else 0.0
+        return base * lam ** (power - 1)
+
+    values = []
+    for power in (0, 1, 2):
+        val, _, _, *tail = quad(
+            integrand, 0.0, np.pi / 2, args=(power,),
+            epsabs=0.0, epsrel=1e-13, limit=200, full_output=True,
+        )
+        assert not tail, tail[0]
+        values.append(val)
+    return tuple(values)
+
+
+GRID_RATIOS = [(1, 10**6), (1, 10**4), (1, 100), (7, 100), (1, 4), (9, 10), (1, 1),
+               (11, 10), (4, 1), (33, 1), (100, 1), (10**5, 1)]
+GRID = [
+    MpParams(points=t, dims=n, sigma2=sigma2, mu=mu)
+    for t, n in GRID_RATIOS
+    for sigma2 in (0.3, 1.0, 2.5)
+    for mu in (-0.5, -0.2, 0.0, 0.5, 3.0)
+    if sigma2 * (1 + np.sqrt(t / n)) ** 2 + mu > max(0.0, sigma2 * (1 - np.sqrt(t / n)) ** 2 + mu)
+]
+
+
+def test_moments_match_quadrature_over_grid():
+    clamped = 0
+    for params in GRID:
+        clamped += mp_support(params)[0] == 0.0
+        m = mp_moments(params)
+        got = (m.mass, m.e_lambda, m.e_lambda2)
+        for value, ref in zip(got, quadrature_moments(params)):
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), params
+    assert clamped >= 10  # the grid reaches the clamped lower edge
+
+
 @pytest.mark.parametrize(
     "points,dims",
     [(5, 100), (100, 400), (100, 100), (300, 100), (1000, 100)],
@@ -97,9 +149,9 @@ def closed_forms(points, dims, sigma2):
 def test_moments_match_closed_forms(points, dims, sigma2):
     mass, e1, e2 = closed_forms(points, dims, sigma2)
     m = mp_moments(MpParams(points=points, dims=dims, sigma2=sigma2))
-    assert m.mass == pytest.approx(mass, rel=1e-7)
-    assert m.e_lambda == pytest.approx(e1, rel=1e-7)
-    assert m.e_lambda2 == pytest.approx(e2, rel=1e-7)
+    assert m.mass == pytest.approx(mass, rel=1e-12)
+    assert m.e_lambda == pytest.approx(e1, rel=1e-12)
+    assert m.e_lambda2 == pytest.approx(e2, rel=1e-12)
 
 
 def test_moments_with_shifted_support():
@@ -123,11 +175,6 @@ def test_moments_normalized_properties():
     m = mp_moments(QUARTER)
     assert m.e_lambda_normalized == pytest.approx(1.0, rel=1e-7)
     assert m.e_lambda2_normalized == pytest.approx(1.25, rel=1e-7)
-
-
-def test_moments_tight_epsrel():
-    m = mp_moments(QUARTER, epsrel=1e-12)
-    assert m.mass == pytest.approx(0.25, rel=1e-9)
 
 
 # --- spectral predictions -----------------------------------------------------
