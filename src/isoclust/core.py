@@ -106,9 +106,8 @@ class ClusterView:
     member rows on access.  The centroid and the dispersion scale
     ``mu`` (mean member distance to the centroid) are computed once and
     cached.  ``mu == 0`` marks a degenerate cluster (a single point or
-    coincident points).  A cluster so spread out that its total squared
-    distance to the centroid overflows float64 raises ``NumericError``:
-    its scatter matrix could not be formed.
+    coincident points).  A cluster whose total squared distance to the
+    centroid overflows float64 (so its scatter would) raises ``NumericError``.
     """
 
     def __init__(self, parent: PointCloud, indices, cluster_id: int = 0):

@@ -27,6 +27,7 @@ forms, shift and clamped lower edge included:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class MpParams:
             raise DataError(f"points must be >= 1, got {self.points}")
         if self.dims < 1:
             raise DataError(f"dims must be >= 1, got {self.dims}")
-        if not self.sigma2 > 0:
-            raise DataError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0 < self.sigma2 < np.inf:
+            raise DataError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class MpMoments:
 def mp_support(params: MpParams) -> tuple[float, float]:
     """Support endpoints (L_min, L_max); L_min is clamped at 0."""
     c = params.points / params.dims
-    root = np.sqrt(c)
+    root = math.sqrt(c)  # Python floats: an overflow gives inf, not a warning
     lo = params.sigma2 * (1.0 - root) ** 2 + params.mu
     hi = params.sigma2 * (1.0 + root) ** 2 + params.mu
     lo = max(0.0, lo)
@@ -109,16 +110,19 @@ def mp_moments(params: MpParams) -> MpMoments:
 
     The mass is written with (sqrt(a) + sqrt(b))^2 in the denominator;
     the equal (sqrt(b) - sqrt(a))^2 / (4 sigma^2) loses digits to
-    cancellation when the support is narrow.
+    cancellation when the support is narrow.  Dividing by sigma^2 first,
+    only an E(L^2) past float64 (sigma^2 ~ 1e154) raises NumericError.
     """
     lo, hi = mp_support(params)
-    width2 = (hi - lo) ** 2
-    sigma2 = params.sigma2
-    mass = float(width2 / (4.0 * sigma2 * (np.sqrt(lo) + np.sqrt(hi)) ** 2))
-    e1 = width2 / (16.0 * sigma2)
-    e2 = width2 * (lo + hi) / (32.0 * sigma2)
+    width = hi - lo
+    q = width / (math.sqrt(lo) + math.sqrt(hi))
+    mass = q * (q / params.sigma2) / 4.0
+    e1 = width * (width / params.sigma2) / 16.0
+    e2 = e1 * (lo / 2.0 + hi / 2.0)
     if mass <= 0 or e1 <= 0:
         raise NumericError(f"non-positive spectral mass/mean: mass={mass}, E={e1}")
+    if not e2 < math.inf:
+        raise NumericError(f"spectral moment E(L^2) overflows float64 (sigma2={params.sigma2})")
     return MpMoments(e_lambda=e1, e_lambda2=e2, mass=mass)
 
 
@@ -126,18 +130,19 @@ def expected_fa(params: MpParams) -> float:
     """Predicted raw fractional anisotropy of a Gaussian cluster.
 
     sqrt(1 - E(L)^2 / E(L^2)) over the full n-eigenvalue spectrum,
-    zeros included, so the raw integrals are used directly.
+    zeros included, so the raw integrals are used directly; E(L) is not squared.
     """
     m = mp_moments(params)
-    return float(np.sqrt(max(0.0, 1.0 - m.e_lambda**2 / m.e_lambda2)))
+    return float(np.sqrt(max(0.0, 1.0 - m.e_lambda * (m.e_lambda / m.e_lambda2))))
 
 
 def expected_var_lambda(params: MpParams) -> float:
     """Predicted Var(lambda) of a Gaussian cluster.
 
     Spectrum variance over the squared spectrum total:
-    (E(L^2) - E(L)^2) / (n E(L))^2, with full-spectrum raw moments.
+    (E(L^2) - E(L)^2) / (n E(L))^2, with full-spectrum raw moments,
+    evaluated as (E(L^2)/E(L) - E(L)) / (n^2 E(L)) so no square overflows.
     """
     m = mp_moments(params)
-    var = m.e_lambda2 - m.e_lambda**2
-    return float(max(0.0, var) / (params.dims * m.e_lambda) ** 2)
+    spread = m.e_lambda2 / m.e_lambda - m.e_lambda
+    return float(max(0.0, spread) / (params.dims**2 * m.e_lambda))

@@ -40,13 +40,15 @@ def silhouette(views: list[ClusterView]) -> float:
     For each point: a = mean distance to its own cluster's other
     members, b = smallest mean distance to the members of any other
     cluster, s = (b - a) / max(a, b).  Points in singleton clusters
-    score 0.
+    score 0.  A distance that overflows float64 is a ``NumericError``.
     """
     _stack(views)
     data = np.vstack([v.points for v in views])
     sizes = [v.size for v in views]
     starts = np.cumsum([0] + sizes)
     dists = cdist(data, data)
+    if not np.isfinite(dists.max()):
+        raise NumericError("silhouette pairwise distance overflows float64")
 
     scores = np.zeros(len(data))
     for i, vi in enumerate(views):
@@ -71,7 +73,7 @@ def davies_bouldin(views: list[ClusterView]) -> float:
     """Davies-Bouldin index: mean over clusters of the worst
     (S_i + S_j) / M_ij, with S the mean distance to centroid and M the
     centroid separation.  Lower is better; 0 only in the ideal case.
-    Coincident centroids make the index undefined and raise.
+    Coincident centroids raise; an overflowing separation is a ``NumericError``.
     """
     _stack(views)
     k = len(views)
@@ -79,6 +81,8 @@ def davies_bouldin(views: list[ClusterView]) -> float:
     cents = np.vstack([v.centroid for v in views])
     m = cdist(cents, cents)
     off = ~np.eye(k, dtype=bool)
+    if not np.isfinite(m[off]).all():
+        raise NumericError("Davies-Bouldin centroid separation overflows float64")
     if np.any(m[off] == 0.0):
         raise DataError("identical centroids: Davies-Bouldin is undefined")
     ratios = (s[:, None] + s[None, :]) / np.where(off, m, np.inf)
@@ -88,8 +92,7 @@ def davies_bouldin(views: list[ClusterView]) -> float:
 def calinski_harabasz(views: list[ClusterView]) -> float:
     """Calinski-Harabasz index: between/within dispersion ratio
     (BSS / (k-1)) / (WSS / (|E|-k)).  Zero within-cluster dispersion is
-    a degenerate-dispersion error; a sum of squares that overflows
-    float64 is a ``NumericError``.
+    a degenerate-dispersion error, an overflowing sum a ``NumericError``.
     """
     _stack(views)
     k = len(views)

@@ -266,8 +266,14 @@ def test_numeric_error_exit_4(tmp_path, capsys, monkeypatch):
         # each cluster's trace is finite, their sum is not
         ("9e153,0,a\n-9e153,0,a\n0,9e153,b\n0,-9e153,b\n1,1,c\n2,1,c\n1,3,c\n", "calinski_harabasz",
          "Calinski-Harabasz sums of squares overflow"),
+        # each cluster is tight, the centroid separation is not finite
+        ("1e154,0,a\n1e154,1,a\n-1e154,0,b\n-1e154,1,b\n", "davies_bouldin",
+         "Davies-Bouldin centroid separation overflows"),
+        # as for pairwise: finite scatter traces, an infinite point-to-point distance
+        ("9e153,0,a\n-9e153,1,a\n5,5,b\n6,5,b\n5,7,b\n", "silhouette",
+         "silhouette pairwise distance overflows"),
     ],
-    ids=["scatter", "pairwise", "calinski_harabasz"],
+    ids=["scatter", "pairwise", "calinski_harabasz", "davies_bouldin", "silhouette"],
 )
 def test_measure_dispersion_overflow_exits_4(tmp_path, capsys, rows, metrics, message):
     csv_path = write_text(tmp_path / "huge.csv", "x,y,label\n" + rows)

@@ -6,6 +6,7 @@ from isoclust import (
     ClusterView,
     DataError,
     MpParams,
+    NumericError,
     PointCloud,
     expected_fa,
     expected_var_lambda,
@@ -47,6 +48,8 @@ def test_param_validation():
         MpParams(points=10, dims=10, sigma2=0.0)
     with pytest.raises(DataError):
         MpParams(points=10, dims=10, sigma2=-1.0)
+    with pytest.raises(DataError):
+        MpParams(points=10, dims=10, sigma2=float("inf"))
 
 
 # --- density ------------------------------------------------------------------
@@ -171,6 +174,13 @@ def test_moments_with_shifted_support():
     assert shifted.e_lambda2 == pytest.approx(m_center * c * sigma2, rel=1e-7)
 
 
+def test_moments_overflow_raises():
+    with pytest.raises(NumericError, match=r"E\(L\^2\) overflows"):
+        mp_moments(MpParams(points=100, dims=100, sigma2=1e160))
+    with pytest.raises(NumericError, match=r"E\(L\^2\) overflows"):
+        mp_moments(MpParams(points=100, dims=400, sigma2=1.7e308))  # L_max overflows too
+
+
 def test_moments_normalized_properties():
     m = mp_moments(QUARTER)
     assert m.e_lambda_normalized == pytest.approx(1.0, rel=1e-7)
@@ -184,6 +194,15 @@ def test_expected_fa_frozen_values():
     t = 100
     for dims, value in [(100, np.sqrt(0.5)), (400, np.sqrt(0.8)), (1600, np.sqrt(1600 / 1700))]:
         assert expected_fa(MpParams(points=t, dims=dims)) == pytest.approx(value, rel=1e-7)
+
+
+@pytest.mark.parametrize("points,dims,mu", [(100, 100, 0.0), (100, 400, 0.0), (300, 100, 0.0), (100, 400, 0.5)])
+def test_predictions_scale_invariant_at_large_sigma2(points, dims, mu):
+    # FA and Var(lambda) depend on sigma2 only through mu / sigma2
+    small = MpParams(points=points, dims=dims, sigma2=1.0, mu=mu)
+    large = MpParams(points=points, dims=dims, sigma2=1e120, mu=mu * 1e120)
+    assert expected_fa(large) == pytest.approx(expected_fa(small), rel=1e-14)
+    assert expected_var_lambda(large) == pytest.approx(expected_var_lambda(small), rel=1e-14)
 
 
 def test_expected_fa_increases_with_dims():
