@@ -9,7 +9,7 @@ closely while staying cheap as the dimension grows, because it skips
 the full eigendecomposition.
 """
 
-from isoclust.cli import run_sweep
+from isoclust import run_sweep
 
 rows = run_sweep(dims=[10, 50, 250], points=100, repeats=5, counts=[10, 100, 1000], seed=0)
 

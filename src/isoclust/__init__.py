@@ -22,7 +22,7 @@ from .core import (
     split_clusters,
 )
 from .kmeans import KMeansResult, kmeans
-from .randmat import MpMoments, MpParams, expected_fa, expected_var_lambda, mp_moments, mp_pdf, mp_support
+from .randmat import MpMoments, MpParams, expected_fa, expected_var_lambda, mp_moments, mp_pdf, mp_support, run_mp_rows
 from .measure import run_measure
 from .spectral import SpectralSummary, fractional_anisotropy, spectral_summary, var_lambda
 from .synth import L_ARM_WIDTH, SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
@@ -42,6 +42,7 @@ from .zmeasure import (
     isotropy_rnd,
     isotropy_vec,
     random_unit_vectors,
+    run_sweep,
     z_prime,
     z_raw,
 )
@@ -90,6 +91,8 @@ __all__ = [
     "rbf_fit",
     "rbf_transform",
     "run_measure",
+    "run_mp_rows",
+    "run_sweep",
     "shape_cluster",
     "silhouette",
     "size_weighted_mean",

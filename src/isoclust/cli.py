@@ -14,22 +14,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .core import ClusterAssignment, ClusterView, DataError, NumericError, PointCloud
+from .core import ClusterAssignment, DataError, NumericError, PointCloud
 from .kmeans import kmeans
 from .measure import METRICS, run_measure
-from .randmat import MpParams, expected_fa, expected_var_lambda, mp_moments, mp_support
-from .spectral import fractional_anisotropy, spectral_summary, var_lambda
+from .randmat import run_mp_rows
 from .synth import SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
 from .transforms import RbfMap, minmax_scale, pca_project, rbf_fit, rbf_transform
-from .zmeasure import isotropy_rnd, isotropy_vec
+from .zmeasure import run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +92,21 @@ def write_cloud_csv(path, cloud: PointCloud, labels=None, label_name: str = "lab
             writer.writerow(out)
 
 
-def _write_rows_csv(path, fieldnames, rows):
+def _write_rows_csv(path, rows):
+    """Header from the first row's keys; csv writes None as an empty field."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        writer.writerows(rows)
 
 
 def _write_json(path, doc):
     text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _kmeans_summary(k: int, result) -> dict:
+    return {"k": k, "inertia": result.inertia, "iterations": result.n_iter, "reseeded": result.reseeded}
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +148,14 @@ def cmd_measure(args) -> int:
         return section, section.pop("metadata")["timings_s"]
 
     if args.kmeans_multi:
-        ks = _parse_int_list(args.kmeans_multi, "--kmeans-multi")
+        ks = _parse_list(args.kmeans_multi, "--kmeans-multi", int)
+        if len(set(ks)) != len(ks):
+            raise DataError(f"--kmeans-multi lists a k twice: {args.kmeans_multi!r}")
         runs, sums = {}, {}
         for k in ks:
             result = kmeans(cloud, k, seed=args.seed)
             section, timings = one_run(result.assignment)
-            section["kmeans"] = {
-                "k": k,
-                "inertia": result.inertia,
-                "iterations": result.n_iter,
-                "reseeded": result.reseeded,
-            }
+            section["kmeans"] = _kmeans_summary(k, result)
             runs[str(k)] = section
             metadata[f"timings_s.k={k}"] = timings
             for name, value in section["global"].items():
@@ -172,12 +168,7 @@ def cmd_measure(args) -> int:
         if args.kmeans:
             result = kmeans(cloud, args.kmeans, seed=args.seed)
             assignment = result.assignment
-            report["kmeans"] = {
-                "k": args.kmeans,
-                "inertia": result.inertia,
-                "iterations": result.n_iter,
-                "reseeded": result.reseeded,
-            }
+            report["kmeans"] = _kmeans_summary(args.kmeans, result)
         elif assignment is None:
             raise DataError("no labels: pass --label-column, --kmeans or --kmeans-multi")
         if mapping is not None:
@@ -193,134 +184,19 @@ def cmd_measure(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
-
-
-def run_sweep(dims, points: int, repeats: int, counts, seed: int):
-    """Mean isotropy and wall-clock per (dimension, method) over fresh
-    Gaussian clusters.  Methods: eigenvector probing plus random
-    probing at each requested direction count."""
-    if repeats < 1:
-        raise DataError(f"repeats must be >= 1, got {repeats}")
-    master = np.random.default_rng(seed)
-    data_seeds = master.integers(2**63, size=(len(dims), repeats))
-    dir_seeds = master.integers(2**63, size=(len(dims), repeats))
-    rows = []
-    for i, dim in enumerate(dims):
-        vec_vals, vec_times = [], []
-        rnd_vals = {c: [] for c in counts}
-        rnd_times = {c: [] for c in counts}
-        for r in range(repeats):
-            cloud = gaussian_cluster(dim, points, seed=int(data_seeds[i, r]))
-            view = ClusterView(cloud, np.arange(points))
-            t0 = time.perf_counter()
-            vec_vals.append(isotropy_vec(view))
-            vec_times.append(time.perf_counter() - t0)
-            for count in counts:
-                t0 = time.perf_counter()
-                rnd_vals[count].append(isotropy_rnd(view, count=count, seed=int(dir_seeds[i, r])))
-                rnd_times[count].append(time.perf_counter() - t0)
-        # timing medians need >= 3 samples even when repeats < 3; extra
-        # passes rerun the last cluster and feed timings only
-        while len(vec_times) < 3:
-            t0 = time.perf_counter()
-            isotropy_vec(view)
-            vec_times.append(time.perf_counter() - t0)
-            for count in counts:
-                t0 = time.perf_counter()
-                isotropy_rnd(view, count=count, seed=int(dir_seeds[i, repeats - 1]))
-                rnd_times[count].append(time.perf_counter() - t0)
-        rows.append(
-            {
-                "dim": dim,
-                "method": "vec",
-                "vectors": None,
-                "repeats": repeats,
-                "mean_isotropy": sum(vec_vals) / repeats,
-                "mean_seconds": sum(vec_times[:repeats]) / repeats,
-                "median_seconds": statistics.median(vec_times),
-            }
-        )
-        for count in counts:
-            rows.append(
-                {
-                    "dim": dim,
-                    "method": "rnd",
-                    "vectors": count,
-                    "repeats": repeats,
-                    "mean_isotropy": sum(rnd_vals[count]) / repeats,
-                    "mean_seconds": sum(rnd_times[count][:repeats]) / repeats,
-                    "median_seconds": statistics.median(rnd_times[count]),
-                }
-            )
-    return rows
+# sweep / mp
 
 
 def cmd_sweep(args) -> int:
-    dims = _parse_int_list(args.dims, "--dims")
-    counts = _parse_int_list(args.vectors, "--vectors")
-    rows = run_sweep(dims, args.points, args.repeats, counts, args.seed)
-    _write_rows_csv(
-        args.output,
-        ["dim", "method", "vectors", "repeats", "mean_isotropy", "mean_seconds", "median_seconds"],
-        rows,
-    )
+    dims = _parse_list(args.dims, "--dims", int)
+    counts = _parse_list(args.vectors, "--vectors", int)
+    _write_rows_csv(args.output, run_sweep(dims, args.points, args.repeats, counts, args.seed))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# mp
-
-
-def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, seed: int):
-    """Spectral-law predictions per dimensionality, with optional
-    empirical columns from sampled Gaussian clusters (mu = 0 only)."""
-    rows = []
-    master = np.random.default_rng(seed)
-    for n in dims:
-        params = MpParams(points=points, dims=n, sigma2=sigma2, mu=mu)
-        lo, hi = mp_support(params)
-        moments = mp_moments(params)
-        row = {
-            "dims": n,
-            "points": points,
-            "sigma2": sigma2,
-            "mu": mu,
-            "lambda_min": lo,
-            "lambda_max": hi,
-            "mass": moments.mass,
-            "e_lambda": moments.e_lambda,
-            "e_lambda2": moments.e_lambda2,
-            "expected_fa": expected_fa(params),
-            "expected_var_lambda": expected_var_lambda(params),
-            "measured_fa_mean": None,
-            "measured_var_lambda_mean": None,
-        }
-        if empirical > 0 and mu == 0.0:
-            fas, variances = [], []
-            for _ in range(empirical):
-                cloud = gaussian_cluster(n, points, std=float(np.sqrt(sigma2)), seed=int(master.integers(2**63)))
-                summary = spectral_summary(ClusterView(cloud, np.arange(points)))
-                fas.append(fractional_anisotropy(summary))
-                variances.append(float(var_lambda(summary)))
-            row["measured_fa_mean"] = sum(fas) / empirical
-            row["measured_var_lambda_mean"] = sum(variances) / empirical
-        rows.append(row)
-    return rows
-
-
 def cmd_mp(args) -> int:
-    dims = _parse_int_list(args.dims, "--dims")
-    rows = run_mp_rows(args.points, dims, args.sigma2, args.mu, args.empirical, args.seed)
-    _write_rows_csv(
-        args.output,
-        [
-            "dims", "points", "sigma2", "mu", "lambda_min", "lambda_max", "mass",
-            "e_lambda", "e_lambda2", "expected_fa", "expected_var_lambda",
-            "measured_fa_mean", "measured_var_lambda_mean",
-        ],
-        rows,
-    )
+    dims = _parse_list(args.dims, "--dims", int)
+    _write_rows_csv(args.output, run_mp_rows(args.points, dims, args.sigma2, args.mu, args.empirical, args.seed))
     return 0
 
 
@@ -334,6 +210,8 @@ def cmd_transform(args) -> int:
         lo, hi = _parse_float_pair(args.minmax, "--minmax")
         cloud, _ = minmax_scale(cloud, lo, hi)
     if args.rbf_map:
+        if args.components is not None or args.gamma is not None:
+            raise DataError("--rbf-map reuses a saved map; omit --components and --gamma")
         rbf = RbfMap.from_json(Path(args.rbf_map).read_text(encoding="utf-8"))
         cloud = rbf_transform(rbf, cloud)
     elif args.components:
@@ -350,17 +228,21 @@ def cmd_transform(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.stds is not None and args.kind != "anisotropic":
+        raise DataError(f"--stds is for anisotropic clusters, not {args.kind}")
     if args.kind in SHAPE_KINDS:
-        if args.dims not in (None, "2"):
+        if args.dims not in (None, 2):
             raise DataError(f"{args.kind} clusters are 2-D; omit --dims")
         cloud = shape_cluster(args.kind, args.points, noise=args.noise, seed=args.seed)
     elif args.kind == "gaussian":
-        dims = int(args.dims) if args.dims else 2
+        dims = 2 if args.dims is None else args.dims
         cloud = gaussian_cluster(dims, args.points, mean=args.mean, std=args.std, seed=args.seed)
     elif args.kind == "anisotropic":
         if not args.stds:
             raise DataError("anisotropic clusters need --stds (comma-separated, one per axis)")
-        stds = _parse_float_list(args.stds, "--stds")
+        stds = _parse_list(args.stds, "--stds", float)
+        if args.dims not in (None, len(stds)):
+            raise DataError(f"anisotropic clusters have one axis per --stds value ({len(stds)}); omit --dims")
         cloud = anisotropic_gaussian(len(stds), args.points, stds, seed=args.seed)
     else:  # pragma: no cover - argparse choices guard this
         raise DataError(f"unknown kind {args.kind!r}")
@@ -376,11 +258,8 @@ def cmd_cluster(args) -> int:
     _write_json(
         sidecar,
         {
-            "k": args.kmeans,
+            **_kmeans_summary(args.kmeans, result),
             "seed": args.seed,
-            "inertia": result.inertia,
-            "iterations": result.n_iter,
-            "reseeded": result.reseeded,
             "centroids": [[float(x) for x in row] for row in result.centroids],
         },
     )
@@ -398,21 +277,13 @@ def cmd_project(args) -> int:
 # parsing helpers and entry point
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind) -> list:
+    """A non-empty comma list of ``kind`` (int or float) values."""
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise DataError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise DataError(f"{flag} got an empty list")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise DataError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise DataError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
     if not values:
         raise DataError(f"{flag} got an empty list")
     return values
@@ -487,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic cluster CSV")
     p.add_argument("--kind", required=True, choices=("gaussian", "anisotropic") + SHAPE_KINDS)
-    p.add_argument("--dims", help="dimensionality (gaussian only; shapes are 2-D)")
+    p.add_argument("--dims", type=int, help="dimensionality (gaussian only; shapes are 2-D)")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--std", type=float, default=1.0)

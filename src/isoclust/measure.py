@@ -116,6 +116,8 @@ def run_measure(
     Values are independent of the thread count.  A value outside its
     documented bound raises ``NumericError``.
     """
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
     explicit = metrics is not None
     selected = list(metrics) if explicit else list(METRICS)
     unknown = [m for m in selected if m not in METRICS]

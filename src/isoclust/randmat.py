@@ -23,6 +23,9 @@ forms, shift and clamped lower edge included:
     mass   = (b - a)^2 / (4 sigma^2 (sqrt(a) + sqrt(b))^2)
     E(L)   = (b - a)^2 / (16 sigma^2)
     E(L^2) = (b - a)^2 (a + b) / (32 sigma^2)
+
+``run_mp_rows`` tabulates the predictions per dimensionality next to
+the values measured on sampled Gaussian clusters.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, NumericError
+from .core import ClusterView, DataError, NumericError
+from .spectral import fractional_anisotropy, spectral_summary, var_lambda
+from .synth import gaussian_cluster
 
 
 @dataclass(frozen=True)
@@ -146,3 +151,43 @@ def expected_var_lambda(params: MpParams) -> float:
     m = mp_moments(params)
     spread = m.e_lambda2 / m.e_lambda - m.e_lambda
     return float(max(0.0, spread) / (params.dims**2 * m.e_lambda))
+
+
+def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, seed: int) -> list[dict]:
+    """Spectral-law predictions per dimensionality, with optional
+    empirical columns from ``empirical`` sampled Gaussian clusters
+    (mu = 0 only; otherwise, and with 0 clusters, they are None)."""
+    if empirical < 0:
+        raise DataError(f"empirical must be >= 0, got {empirical}")
+    rows = []
+    master = np.random.default_rng(seed)
+    for n in dims:
+        params = MpParams(points=points, dims=n, sigma2=sigma2, mu=mu)
+        lo, hi = mp_support(params)
+        moments = mp_moments(params)
+        row = {
+            "dims": n,
+            "points": points,
+            "sigma2": sigma2,
+            "mu": mu,
+            "lambda_min": lo,
+            "lambda_max": hi,
+            "mass": moments.mass,
+            "e_lambda": moments.e_lambda,
+            "e_lambda2": moments.e_lambda2,
+            "expected_fa": expected_fa(params),
+            "expected_var_lambda": expected_var_lambda(params),
+            "measured_fa_mean": None,
+            "measured_var_lambda_mean": None,
+        }
+        if empirical > 0 and mu == 0.0:
+            fas, variances = [], []
+            for _ in range(empirical):
+                cloud = gaussian_cluster(n, points, std=float(np.sqrt(sigma2)), seed=int(master.integers(2**63)))
+                summary = spectral_summary(ClusterView(cloud, np.arange(points)))
+                fas.append(fractional_anisotropy(summary))
+                variances.append(float(var_lambda(summary)))
+            row["measured_fa_mean"] = sum(fas) / empirical
+            row["measured_var_lambda_mean"] = sum(variances) / empirical
+        rows.append(row)
+    return rows

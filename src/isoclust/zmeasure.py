@@ -28,10 +28,15 @@ Two canonical choices of B:
 
 Z' is evaluated through a log-sum-exp shift so heavy-tailed clusters
 cannot overflow; ratios are formed in log space.
+
+``run_sweep`` compares the two choices, on value and cost, across
+dimensionalities of fresh Gaussian clusters.
 """
 
 from __future__ import annotations
 
+import statistics
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,7 @@ from scipy.special import logsumexp
 
 from .core import ClusterView, DataError, center_and_scale
 from .spectral import spectral_summary
+from .synth import gaussian_cluster
 
 DEFAULT_RND_COUNT = 1000
 
@@ -160,3 +166,43 @@ def isotropy_rnd(view: ClusterView, count: int = DEFAULT_RND_COUNT, seed: int = 
         return 1.0
     return isotropy_given_b(view, random_unit_vectors(view.n_dims, count, seed))
 
+
+def run_sweep(dims, points: int, repeats: int, counts, seed: int) -> list[dict]:
+    """Mean isotropy and wall-clock per (dimension, method) over fresh
+    Gaussian clusters.  Methods: eigenvector probing plus random
+    probing at each requested direction count, one row per probe in
+    request order (a repeated count gives a repeated row)."""
+    if repeats < 1:
+        raise DataError(f"repeats must be >= 1, got {repeats}")
+    master = np.random.default_rng(seed)
+    data_seeds = master.integers(2**63, size=(len(dims), repeats))
+    dir_seeds = master.integers(2**63, size=(len(dims), repeats))
+    probes = [("vec", None)] + [("rnd", count) for count in counts]
+    rows = []
+    for i, dim in enumerate(dims):
+        values = [[] for _ in probes]
+        times = [[] for _ in probes]
+        # timing medians need >= 3 samples even when repeats < 3; passes
+        # past the last repeat rerun its cluster and feed the medians only
+        for r in range(max(repeats, 3)):
+            if r < repeats:
+                view = ClusterView(gaussian_cluster(dim, points, seed=int(data_seeds[i, r])), np.arange(points))
+            dir_seed = int(dir_seeds[i, min(r, repeats - 1)])
+            for j, (_, count) in enumerate(probes):
+                t0 = time.perf_counter()
+                value = isotropy_vec(view) if count is None else isotropy_rnd(view, count=count, seed=dir_seed)
+                times[j].append(time.perf_counter() - t0)
+                values[j].append(value)
+        for (method, count), vals, secs in zip(probes, values, times):
+            rows.append(
+                {
+                    "dim": dim,
+                    "method": method,
+                    "vectors": count,
+                    "repeats": repeats,
+                    "mean_isotropy": sum(vals[:repeats]) / repeats,
+                    "mean_seconds": sum(secs[:repeats]) / repeats,
+                    "median_seconds": statistics.median(secs),
+                }
+            )
+    return rows

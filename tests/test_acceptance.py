@@ -25,11 +25,11 @@ from isoclust import (
     random_unit_vectors,
     rbf_fit,
     rbf_transform,
+    run_sweep,
     spectral_summary,
     var_lambda,
     z_raw,
 )
-from isoclust.cli import run_sweep
 from isoclust.validation import calinski_harabasz, davies_bouldin, silhouette
 from isoclust.core import ClusterAssignment, split_clusters
 

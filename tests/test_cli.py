@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoclust import NumericError
-from isoclust.cli import main, read_cloud_csv, run_measure, run_sweep, write_cloud_csv
+from isoclust import DataError, run_sweep
+from isoclust.cli import main, read_cloud_csv, run_measure, write_cloud_csv
 from isoclust.core import PointCloud
 
 
@@ -77,8 +77,6 @@ def test_read_csv_label_mapping_first_appearance(cross_csv):
 
 
 def test_read_csv_errors(tmp_path):
-    from isoclust import DataError
-
     missing = tmp_path / "nope.csv"
     with pytest.raises(DataError, match="not found"):
         read_cloud_csv(missing)
@@ -137,6 +135,8 @@ def test_measure_thread_count_does_not_change_values(blobs_csv):
     multi = run_measure(cloud, assignment, threads=3).to_dict()
     single.pop("metadata"), multi.pop("metadata")
     assert single == multi
+    with pytest.raises(DataError, match="threads must be >= 1"):
+        run_measure(cloud, assignment, threads=0)
 
 
 def test_measure_kmeans(blobs_csv, tmp_path):
@@ -235,23 +235,34 @@ def test_data_errors_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "isoclust: data error" in err and "not found" in err
 
-    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n")
-    assert main(["measure", "--input", small, "--kmeans", "99",
-                 "--output", str(tmp_path / "r.json")]) == 3
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    report = str(tmp_path / "r.json")
+    assert main(["measure", "--input", small, "--kmeans", "99", "--output", report]) == 3
+    assert main(["measure", "--input", small, "--kmeans-multi", "2,2", "--output", report]) == 3
+    assert main(["measure", "--input", small, "--kmeans", "2", "--threads", "-3", "--output", report]) == 3
+    assert main(["mp", "--points", "10", "--dims", "10", "--empirical", "-1",
+                 "--output", str(tmp_path / "mp.csv")]) == 3
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "mp.csv").exists()
     assert main(["transform", "--input", small, "--output", str(tmp_path / "t.csv")]) == 3
     assert main(["transform", "--input", small, "--gamma", "0.5",
                  "--output", str(tmp_path / "t.csv")]) == 3
+    # a saved map fixes its own components and gamma
+    assert main(["transform", "--input", small, "--components", "4", "--output", str(tmp_path / "f.csv")]) == 0
+    rbf_map = str(tmp_path / "f.csv.rbf.json")
+    for extra in (["--components", "9", "--gamma", "7"], ["--components", "9"], ["--gamma", "7"]):
+        assert main(["transform", "--input", small, "--rbf-map", rbf_map, *extra,
+                     "--output", str(tmp_path / "t.csv")]) == 3
+    assert not (tmp_path / "t.csv").exists()
 
 
-def test_numeric_error_exit_4(tmp_path, capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise NumericError("quadrature failed for moment 0: synthetic")
-
-    monkeypatch.setattr("isoclust.cli.mp_moments", explode)
-    code = main(["mp", "--points", "100", "--dims", "100",
-                 "--empirical", "0", "--output", str(tmp_path / "mp.csv")])
+def test_numeric_error_exit_4(tmp_path, capsys):
+    # the spectral-law moment E(L^2) ~ 4 sigma2^3 is past float64
+    out = tmp_path / "mp.csv"
+    code = main(["mp", "--points", "100", "--dims", "100", "--sigma2", "1e200",
+                 "--empirical", "0", "--output", str(out)])
     assert code == 4
     assert "numeric error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -368,6 +379,18 @@ def test_generate_rejections(tmp_path, capsys):
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
     assert main(["generate", "--kind", "anisotropic",
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    # the axis count comes from --stds, which only anisotropic clusters take
+    assert main(["generate", "--kind", "anisotropic", "--stds", "1,2", "--dims", "5",
+                 "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    assert main(["generate", "--kind", "gaussian", "--stds", "1,2",
+                 "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    assert main(["generate", "--kind", "l_shape", "--stds", "1,2",
+                 "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["generate", "--kind", "anisotropic", "--stds", "1,2", "--dims", "2",
+                 "--points", "10", "--output", str(tmp_path / "x.csv")]) == 0
+    assert main(["generate", "--kind", "gaussian", "--dims", "two",
+                 "--points", "10", "--output", str(tmp_path / "x.csv")]) == 2  # argparse int
     assert main(["generate", "--kind", "ring",
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 2  # argparse choices
     capsys.readouterr()
@@ -423,10 +446,17 @@ def test_sweep_csv_structure_and_value_determinism(tmp_path):
 
 
 def test_sweep_rejects_bad_repeats():
-    from isoclust import DataError
-
     with pytest.raises(DataError):
         run_sweep([3], points=10, repeats=0, counts=[10], seed=0)
+
+
+def test_sweep_repeated_count_gives_repeated_rows():
+    rows = run_sweep([4], points=20, repeats=2, counts=[10, 10], seed=0)
+    assert [r["method"] for r in rows] == ["vec", "rnd", "rnd"]
+    timing = ("mean_seconds", "median_seconds")
+    first, second = ({k: v for k, v in r.items() if k not in timing} for r in rows[1:])
+    assert first == second
+    assert 0 < first["mean_isotropy"] <= 1
 
 
 def test_sweep_single_repeat_values_come_from_one_run():

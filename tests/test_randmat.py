@@ -14,6 +14,7 @@ from isoclust import (
     mp_moments,
     mp_pdf,
     mp_support,
+    run_mp_rows,
     spectral_summary,
 )
 
@@ -50,6 +51,8 @@ def test_param_validation():
         MpParams(points=10, dims=10, sigma2=-1.0)
     with pytest.raises(DataError):
         MpParams(points=10, dims=10, sigma2=float("inf"))
+    with pytest.raises(DataError, match="empirical"):
+        run_mp_rows(points=10, dims=[10], sigma2=1.0, mu=0.0, empirical=-1, seed=0)
 
 
 # --- density ------------------------------------------------------------------
