@@ -214,29 +214,36 @@ def cmd_transform(args) -> int:
             raise DataError("--rbf-map reuses a saved map; omit --components and --gamma")
         rbf = RbfMap.from_json(Path(args.rbf_map).read_text(encoding="utf-8"))
         cloud = rbf_transform(rbf, cloud)
-    elif args.components:
+    elif args.components is not None:
         gamma = args.gamma if args.gamma is not None else 1.0 / cloud.n_dims
         rbf = rbf_fit(cloud.n_dims, args.components, gamma, args.seed)
         cloud = rbf_transform(rbf, cloud)
         Path(str(args.output) + ".rbf.json").write_text(rbf.to_json() + "\n", encoding="utf-8")
     elif args.gamma is not None:
         raise DataError("--gamma requires --components")
-    if args.minmax is None and not args.rbf_map and not args.components:
+    if args.minmax is None and not args.rbf_map and args.components is None:
         raise DataError("nothing to do: pass --minmax and/or --components/--rbf-map")
     write_cloud_csv(args.output, cloud)
     return 0
 
 
+# the optional flags each kind reads; the library holds their defaults
+_KIND_FLAGS = {"gaussian": ("mean", "std"), "anisotropic": ("stds",), **dict.fromkeys(SHAPE_KINDS, ("noise",))}
+
+
 def cmd_generate(args) -> int:
-    if args.stds is not None and args.kind != "anisotropic":
-        raise DataError(f"--stds is for anisotropic clusters, not {args.kind}")
+    flags = ("mean", "std", "stds", "noise")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in _KIND_FLAGS[args.kind]:
+            raise DataError(f"--{flag} does not apply to {args.kind} clusters")
     if args.kind in SHAPE_KINDS:
         if args.dims not in (None, 2):
             raise DataError(f"{args.kind} clusters are 2-D; omit --dims")
-        cloud = shape_cluster(args.kind, args.points, noise=args.noise, seed=args.seed)
+        cloud = shape_cluster(args.kind, args.points, seed=args.seed, **given)
     elif args.kind == "gaussian":
         dims = 2 if args.dims is None else args.dims
-        cloud = gaussian_cluster(dims, args.points, mean=args.mean, std=args.std, seed=args.seed)
+        cloud = gaussian_cluster(dims, args.points, seed=args.seed, **given)
     elif args.kind == "anisotropic":
         if not args.stds:
             raise DataError("anisotropic clusters need --stds (comma-separated, one per axis)")
@@ -360,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("gaussian", "anisotropic") + SHAPE_KINDS)
     p.add_argument("--dims", type=int, help="dimensionality (gaussian only; shapes are 2-D)")
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--std", type=float, default=1.0)
+    p.add_argument("--mean", type=float, help="per-axis mean (gaussian; default 0)")
+    p.add_argument("--std", type=float, help="per-axis deviation (gaussian; default 1)")
     p.add_argument("--stds", help="comma list, one std per axis (anisotropic)")
-    p.add_argument("--noise", type=float, default=0.0, help="additive Gaussian noise (shapes)")
+    p.add_argument("--noise", type=float, help="additive Gaussian noise (shapes; default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)

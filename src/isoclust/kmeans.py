@@ -2,9 +2,10 @@
 
 Written in-repo rather than wrapped from a library because the
 contracts here are strict: byte-reproducible results for a seed,
-nearest-centroid ties broken by lowest id, empty clusters repaired by
-farthest-point reseeding (and flagged), and the per-iteration inertia
-sequence exposed and checked to be nonincreasing.
+nearest-centroid ties broken by lowest id, an empty cluster repaired
+by taking the point farthest from its centroid among clusters that keep
+another member (and flagged), and the per-iteration inertia sequence
+exposed and checked to be finite and nonincreasing.
 """
 
 from __future__ import annotations
@@ -36,17 +37,40 @@ def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     centroids = np.empty((k, data.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    d2 = ((data - centroids[0]) ** 2).sum(axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            choice = int(rng.choice(n, p=probs))
-        else:
-            choice = int(rng.integers(n))
-        centroids[i] = data[choice]
-        d2 = np.minimum(d2, ((data - centroids[i]) ** 2).sum(axis=1))
+    # an overflowing squared distance becomes inf; only a non-finite sum,
+    # checked below, is an error
+    with np.errstate(over="ignore"):
+        d2 = ((data - centroids[0]) ** 2).sum(axis=1)
+        for i in range(1, k):
+            total = d2.sum()
+            if not np.isfinite(total):
+                raise NumericError("k-means++ squared distances overflow float64")
+            if total > 0:
+                probs = d2 / total
+                choice = int(rng.choice(n, p=probs))
+            else:
+                choice = int(rng.integers(n))
+            centroids[i] = data[choice]
+            d2 = np.minimum(d2, ((data - centroids[i]) ** 2).sum(axis=1))
     return centroids
+
+
+def _assign(data: np.ndarray, centroids: np.ndarray):
+    """Nearest-centroid labels, squared distances, sizes and a reseed flag;
+    a reseeded cluster's centroid moves in place onto the point it takes."""
+    d2 = cdist(data, centroids, "sqeuclidean")
+    labels = d2.argmin(axis=1)  # argmin takes the lowest id on ties
+    point_d2 = d2[np.arange(len(data)), labels]
+    counts = np.bincount(labels, minlength=len(centroids))
+    empty = np.flatnonzero(counts == 0)
+    for cluster in empty:
+        far = int(np.where(counts[labels] > 1, point_d2, -1.0).argmax())
+        counts[labels[far]] -= 1
+        counts[cluster] = 1
+        centroids[cluster] = data[far]
+        labels[far] = cluster
+        point_d2[far] = 0.0
+    return labels, point_d2, counts, empty.size > 0
 
 
 def kmeans(
@@ -54,7 +78,6 @@ def kmeans(
     k: int,
     seed: int = 0,
     max_iter: int = MAX_ITER,
-    tol: float = TOL,
     init=None,
 ) -> KMeansResult:
     """Cluster a cloud into k parts.
@@ -62,7 +85,8 @@ def kmeans(
     ``init`` may be an explicit (k, n_dims) centroid array; by default
     k-means++ seeding is used.  Deterministic for fixed inputs and
     seed.  The result's label ids are contiguous 0..k-1 and every
-    cluster is non-empty.
+    cluster is non-empty (see the module's reseed rule).  An inertia
+    that overflows float64 is a ``NumericError``.
     """
     data = cloud.data
     if k < 1:
@@ -83,22 +107,13 @@ def kmeans(
 
     reseeded = False
     history: list[float] = []
-    labels = np.zeros(len(data), dtype=np.int64)
     for iteration in range(1, max_iter + 1):
-        d2 = cdist(data, centroids, "sqeuclidean")
-        labels = d2.argmin(axis=1)  # argmin takes the lowest id on ties
-        point_d2 = d2[np.arange(len(data)), labels]
-
-        counts = np.bincount(labels, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            far = int(point_d2.argmax())
-            centroids[empty] = data[far]
-            labels[far] = empty
-            point_d2[far] = 0.0
-            counts = np.bincount(labels, minlength=k)
-            reseeded = True
+        labels, point_d2, counts, moved = _assign(data, centroids)
+        reseeded |= moved
 
         inertia = float(point_d2.sum())
+        if not np.isfinite(inertia):
+            raise NumericError(f"inertia {inertia} is not finite at iteration {iteration}")
         if history and inertia > history[-1] * (1 + 1e-9) + 1e-12:
             raise NumericError(
                 f"inertia increased from {history[-1]} to {inertia} at iteration {iteration}"
@@ -112,17 +127,11 @@ def kmeans(
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         scale = float(np.linalg.norm(centroids, axis=1).max())
         centroids = new_centroids
-        if shift <= tol * max(scale, 1e-12):
+        if shift <= TOL * max(scale, 1e-12):
             break
 
-    d2 = cdist(data, centroids, "sqeuclidean")
-    labels = d2.argmin(axis=1)
-    counts = np.bincount(labels, minlength=k)
-    for empty in np.flatnonzero(counts == 0):
-        far = int(d2[np.arange(len(data)), labels].argmax())
-        centroids[empty] = data[far]
-        labels[far] = empty
-        reseeded = True
+    labels, _, _, moved = _assign(data, centroids)
+    reseeded |= moved
     inertia = float(((data - centroids[labels]) ** 2).sum())
 
     return KMeansResult(

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines; each
 check also enforces its own wall-clock budget.
 """
 
-import os
 import time
 
 import numpy as np
@@ -192,10 +191,7 @@ def _sample_summaries(dims: int, points: int, clusters: int):
 
 def test_c07_predicted_fa_matches_sampled_clusters():
     t0 = time.perf_counter()
-    points, grid = 100, (100, 400, 1600)
-    if os.environ.get("ISOCLUST_FULL_GRID") == "1":
-        # slow full-size point, opt-in only
-        grid = grid + (10000,)
+    points, grid = 100, (100, 400, 1600, 10000)
     means, preds, gaps = [], [], []
     for dims in grid:
         predicted = expected_fa(MpParams(points=points, dims=dims))

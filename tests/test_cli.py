@@ -246,6 +246,10 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert main(["transform", "--input", small, "--output", str(tmp_path / "t.csv")]) == 3
     assert main(["transform", "--input", small, "--gamma", "0.5",
                  "--output", str(tmp_path / "t.csv")]) == 3
+    # a zero feature count is given, not absent: rbf_fit rejects it
+    for extra in (["--components", "0"], ["--components", "0", "--gamma", "1"]):
+        assert main(["transform", "--input", small, *extra, "--output", str(tmp_path / "t.csv")]) == 3
+        assert "n_out >= 1" in capsys.readouterr().err
     # a saved map fixes its own components and gamma
     assert main(["transform", "--input", small, "--components", "4", "--output", str(tmp_path / "f.csv")]) == 0
     rbf_map = str(tmp_path / "f.csv.rbf.json")
@@ -265,32 +269,40 @@ def test_numeric_error_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+# unlabelled points at +-1e200: the k-means++ seeding's squared distances overflow
+KMEANS_OVERFLOW_CSV = "x,y\n1e200,0\n-1e200,1\n1e200,2\n5,5\n6,5\n5,7\n"
+
+
+def labelled(metrics: str) -> list:
+    return ["--label-column", "label", "--metrics", metrics]
+
+
 @pytest.mark.parametrize(
-    "rows,metrics,message",
+    "text,options,message",
     [
         # cluster a's scatter matrix overflows although mu is finite
-        ("1e154,0,a\n-1e154,1,a\n0,2,a\n5,5,b\n6,5,b\n5,7,b\n", "var_lambda,fa",
+        ("x,y,label\n1e154,0,a\n-1e154,1,a\n0,2,a\n5,5,b\n6,5,b\n5,7,b\n", labelled("var_lambda,fa"),
          "cluster 0: squared dispersion overflows"),
         # the scatter trace is finite (1.62e308) but a pairwise distance is not
-        ("9e153,0,a\n-9e153,1,a\n5,5,b\n6,5,b\n5,7,b\n", "mean_pairwise_dist",
+        ("x,y,label\n9e153,0,a\n-9e153,1,a\n5,5,b\n6,5,b\n5,7,b\n", labelled("mean_pairwise_dist"),
          "mean_pairwise_dist = inf is not finite"),
         # each cluster's trace is finite, their sum is not
-        ("9e153,0,a\n-9e153,0,a\n0,9e153,b\n0,-9e153,b\n1,1,c\n2,1,c\n1,3,c\n", "calinski_harabasz",
-         "Calinski-Harabasz sums of squares overflow"),
+        ("x,y,label\n9e153,0,a\n-9e153,0,a\n0,9e153,b\n0,-9e153,b\n1,1,c\n2,1,c\n1,3,c\n",
+         labelled("calinski_harabasz"), "Calinski-Harabasz sums of squares overflow"),
         # each cluster is tight, the centroid separation is not finite
-        ("1e154,0,a\n1e154,1,a\n-1e154,0,b\n-1e154,1,b\n", "davies_bouldin",
+        ("x,y,label\n1e154,0,a\n1e154,1,a\n-1e154,0,b\n-1e154,1,b\n", labelled("davies_bouldin"),
          "Davies-Bouldin centroid separation overflows"),
         # as for pairwise: finite scatter traces, an infinite point-to-point distance
-        ("9e153,0,a\n-9e153,1,a\n5,5,b\n6,5,b\n5,7,b\n", "silhouette",
+        ("x,y,label\n9e153,0,a\n-9e153,1,a\n5,5,b\n6,5,b\n5,7,b\n", labelled("silhouette"),
          "silhouette pairwise distance overflows"),
+        (KMEANS_OVERFLOW_CSV, ["--kmeans", "2"], "k-means++ squared distances overflow"),
     ],
-    ids=["scatter", "pairwise", "calinski_harabasz", "davies_bouldin", "silhouette"],
+    ids=["scatter", "pairwise", "calinski_harabasz", "davies_bouldin", "silhouette", "kmeans"],
 )
-def test_measure_dispersion_overflow_exits_4(tmp_path, capsys, rows, metrics, message):
-    csv_path = write_text(tmp_path / "huge.csv", "x,y,label\n" + rows)
+def test_measure_dispersion_overflow_exits_4(tmp_path, capsys, text, options, message):
+    csv_path = write_text(tmp_path / "huge.csv", text)
     out = tmp_path / "report.json"
-    argv = ["measure", "--input", csv_path, "--label-column", "label", "--metrics", metrics]
-    assert main(argv + ["--output", str(out)]) == 4
+    assert main(["measure", "--input", csv_path, *options, "--output", str(out)]) == 4
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -386,6 +398,13 @@ def test_generate_rejections(tmp_path, capsys):
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
     assert main(["generate", "--kind", "l_shape", "--stds", "1,2",
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    # each kind reads only its own flags; one it does not read is an error, not ignored
+    for kind, flag, value in (("gaussian", "--noise", "5"), ("l_shape", "--mean", "9")):
+        assert main(["generate", "--kind", kind, flag, value,
+                     "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    assert main(["generate", "--kind", "anisotropic", "--stds", "1,2", "--std", "50",
+                 "--points", "10", "--output", str(tmp_path / "x.csv")]) == 3
+    assert "--std does not apply to anisotropic" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     assert main(["generate", "--kind", "anisotropic", "--stds", "1,2", "--dims", "2",
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 0
@@ -394,6 +413,14 @@ def test_generate_rejections(tmp_path, capsys):
     assert main(["generate", "--kind", "ring",
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 2  # argparse choices
     capsys.readouterr()
+
+
+def test_cluster_overflow_exits_4(tmp_path, capsys):
+    src = write_text(tmp_path / "huge.csv", KMEANS_OVERFLOW_CSV)
+    out = tmp_path / "labeled.csv"
+    assert main(["cluster", "--input", src, "--kmeans", "2", "--output", str(out)]) == 4
+    assert "k-means++ squared distances overflow" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv"]
 
 
 def test_cluster_labels_and_sidecar(tmp_path):

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from isoclust import DataError, PointCloud, kmeans
+from isoclust import DataError, NumericError, PointCloud, kmeans
 
 
 def cloud_of(points) -> PointCloud:
@@ -101,6 +105,64 @@ def test_empty_cluster_repair():
     assert result.reseeded
     assert result.assignment.k == 2
     assert sorted(result.assignment.sizes()) == [1, 3]
+
+    # the farthest point is a singleton's only member: a cluster that keeps
+    # another member gives one up instead, so no cluster is left empty
+    result = kmeans(cloud_of([[4.0], [2.0], [-2.0]]), 3, init=[[-6.0], [-5.0], [3.0]], max_iter=1)
+    np.testing.assert_array_equal(result.assignment.labels, [0, 2, 1])
+    np.testing.assert_array_equal(result.centroids[:, 0], [4.0, -2.0, 2.0])
+    assert result.inertia == 0.0 and result.reseeded
+
+    # two empty clusters: the point the first takes is not taken again
+    cloud = cloud_of([[-4.0], [-4.0], [-3.0], [2.0]])
+    init = [[0.0], [5.0], [6.0]]
+    once = kmeans(cloud, 3, init=init, max_iter=1)
+    np.testing.assert_array_equal(once.assignment.labels, [1, 1, 2, 0])
+    assert once.inertia == 6.25 and once.reseeded
+    converged = kmeans(cloud, 3, init=init)
+    np.testing.assert_array_equal(converged.assignment.labels, [1, 1, 2, 0])
+    assert converged.inertia == 0.0
+
+
+@st.composite
+def clouds_with_init(draw):
+    """Small integer clouds with repeated points, a valid k and any init."""
+    dims = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(-4, 4), min_size=dims, max_size=dims)
+    distinct = draw(st.lists(coords, min_size=k, max_size=k + 3, unique_by=tuple))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=6))
+    init = draw(st.lists(st.lists(st.integers(-8, 8), min_size=dims, max_size=dims), min_size=k, max_size=k))
+    return distinct + repeats, k, init
+
+
+@given(clouds_with_init(), st.sampled_from([1, 2, 300]))
+def test_explicit_init_always_gives_k_nonempty_finite_clusters(case, max_iter):
+    points, k, init = case
+    cloud = cloud_of(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = kmeans(cloud, k, init=init, max_iter=max_iter)
+    assert result.assignment.k == k
+    assert min(result.assignment.sizes()) >= 1
+    assert np.isfinite(result.centroids).all() and np.isfinite(result.inertia)
+    labels = result.assignment.labels
+    assert result.inertia == float(((cloud.data - result.centroids[labels]) ** 2).sum())
+
+
+def test_seeding_overflow_raises_without_warning():
+    # 0.8e154 - (-0.8e154) squared is past float64: a seed that starts at an
+    # extreme sums an infinite distance, the others seed around it
+    cloud = cloud_of([[-0.8e154], [0.0], [0.8e154], [1.0]])
+    for seed in range(6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = kmeans(cloud, 3, seed=seed)
+            except NumericError as exc:
+                assert "k-means++ squared distances overflow" in str(exc)
+            else:
+                assert np.isfinite(result.inertia)
 
 
 def test_max_iter_cap():
