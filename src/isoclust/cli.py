@@ -40,7 +40,8 @@ def read_cloud_csv(path, label_column: str | None = None):
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -80,11 +81,11 @@ def read_cloud_csv(path, label_column: str | None = None):
     return cloud, ClusterAssignment(labels), mapping
 
 
-def write_cloud_csv(path, cloud: PointCloud, labels=None, label_name: str = "label"):
+def write_cloud_csv(path, cloud: PointCloud, labels=None):
     columns = cloud.columns or [f"x{i}" for i in range(cloud.n_dims)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(columns) + ([label_name] if labels is not None else []))
+        writer.writerow(list(columns) + (["label"] if labels is not None else []))
         for i, row in enumerate(cloud.data):
             out = [repr(float(x)) for x in row]
             if labels is not None:

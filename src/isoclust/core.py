@@ -3,14 +3,16 @@
 A :class:`PointCloud` is an immutable-by-convention matrix of points
 (rows) with float64 entries.  A :class:`ClusterAssignment` maps each
 point to one of k contiguous cluster ids.  A :class:`ClusterView` is a
-lightweight window onto the rows of a parent cloud belonging to one
-cluster; it stores indices, never copies of the rows, and caches the
-centroid and the dispersion scale mu (the mean distance of members to
-the centroid).
+window onto the rows of a parent cloud belonging to one cluster; it
+keeps the member indices and the centroid and dispersion scale mu (the
+mean distance of members to the centroid), computed once from a copy of
+the member rows that is not kept, and every ``points`` access returns a
+fresh copy of those rows.  :func:`timed` is the package's one clock.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -102,12 +104,13 @@ class ClusterAssignment:
 class ClusterView:
     """The members of one cluster, referencing rows of the parent cloud.
 
-    No point data is copied at construction; ``points`` materializes the
-    member rows on access.  The centroid and the dispersion scale
-    ``mu`` (mean member distance to the centroid) are computed once and
-    cached.  ``mu == 0`` marks a degenerate cluster (a single point or
-    coincident points).  A cluster whose total squared distance to the
-    centroid overflows float64 (so its scatter would) raises ``NumericError``.
+    Construction copies the member rows once to compute the centroid and
+    the dispersion scale ``mu`` (mean member distance to the centroid),
+    which are cached; the copy is not kept.  Each ``points`` access
+    returns a fresh copy of the member rows.  ``mu == 0`` marks a
+    degenerate cluster (a single point or coincident points).  A cluster
+    whose total squared distance to the centroid overflows float64 (so
+    its scatter would) raises ``NumericError``.
     """
 
     def __init__(self, parent: PointCloud, indices, cluster_id: int = 0):
@@ -190,6 +193,13 @@ def size_weighted_mean(values, sizes) -> float:
     if np.any(s <= 0):
         raise DataError("cluster sizes must be positive")
     return float((v * s).sum() / s.sum())
+
+
+def timed(fn, *args):
+    """Call ``fn(*args)``; return its result and the wall-clock seconds it took."""
+    clock = time.perf_counter
+    start = clock()
+    return fn(*args), clock() - start
 
 
 # Bounds used to sanity-check reported metric values, keyed by prefix.

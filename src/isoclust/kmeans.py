@@ -86,11 +86,18 @@ def kmeans(
     k-means++ seeding is used.  Deterministic for fixed inputs and
     seed.  The result's label ids are contiguous 0..k-1 and every
     cluster is non-empty (see the module's reseed rule).  An inertia
-    that overflows float64 is a ``NumericError``.
+    that overflows float64 is a ``NumericError``, and so are k-means++
+    squared distances whose sum overflows.  That sum depends on the
+    first, seeded centre, so the outcome can depend on the seed: on the
+    points -0.8e154, 0, 0.8e154, 1 with k = 3, seeds 0-3 start away from
+    an extreme and reach inertia 0.5, while seeds 4-5 start at one and
+    raise.  ``max_iter`` below 1 is a ``DataError``.
     """
     data = cloud.data
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
+    if max_iter < 1:
+        raise DataError(f"max_iter must be >= 1, got {max_iter}")
     if k > cloud.n_points:
         raise DataError(f"k = {k} exceeds the number of points ({cloud.n_points})")
     n_distinct = len(np.unique(data, axis=0))

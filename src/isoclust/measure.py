@@ -12,7 +12,6 @@ Each cluster's spectral summary is computed once and shared by
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -25,6 +24,7 @@ from .core import (
     PointCloud,
     size_weighted_mean,
     split_clusters,
+    timed,
 )
 from .spectral import SpectralSummary, fractional_anisotropy, spectral_summary, var_lambda
 from .validation import (
@@ -85,15 +85,11 @@ def _measure_cluster(view, names, rnd_set, fa_normalized):
     times: dict[str, float] = {}
     summary = None
     if any(METRICS[name].spectral for name in names):
-        t0 = time.perf_counter()
-        summary = spectral_summary(view)
-        times["spectral_summary"] = time.perf_counter() - t0
+        summary, times["spectral_summary"] = timed(spectral_summary, view)
     cluster = Cluster(view, summary, rnd_set, fa_normalized)
     values: dict[str, float] = {}
     for name in names:
-        t0 = time.perf_counter()
-        values[name] = METRICS[name].per_cluster(cluster)
-        times[name] = time.perf_counter() - t0
+        values[name], times[name] = timed(METRICS[name].per_cluster, cluster)
     return values, times
 
 
@@ -111,8 +107,9 @@ def run_measure(
     Per-cluster values come with a ``size`` list; whole-clustering
     indices that do not apply (e.g. silhouette for one cluster) are
     listed in ``skipped`` when the metrics are defaulted and raise a
-    ``DataError`` when requested explicitly.  Wall-clock seconds per
-    metric, summed over clusters, are in ``metadata["timings_s"]``.
+    ``DataError`` when requested explicitly; a metric listed twice is a
+    ``DataError``.  Wall-clock seconds per computed metric, summed over
+    clusters, plus ``spectral_summary``, are in ``metadata["timings_s"]``.
     Values are independent of the thread count.  A value outside its
     documented bound raises ``NumericError``.
     """
@@ -123,6 +120,8 @@ def run_measure(
     unknown = [m for m in selected if m not in METRICS]
     if unknown:
         raise DataError(f"unknown metrics: {', '.join(unknown)} (known: {', '.join(METRICS)})")
+    if len(set(selected)) != len(selected):
+        raise DataError(f"a metric is listed twice: {', '.join(selected)}")
     views = split_clusters(cloud, assignment)
     sizes = [v.size for v in views]
     rnd_set = random_unit_vectors(cloud.n_dims, vectors, seed) if "i_rnd" in selected else None
@@ -147,14 +146,12 @@ def run_measure(
 
     skipped: dict[str, str] = {}
     for name in (m for m in selected if METRICS[m].of_clustering):
-        t0 = time.perf_counter()
         try:
-            overall[name] = METRICS[name].of_clustering(views)
+            overall[name], timings[name] = timed(METRICS[name].of_clustering, views)
         except DataError as exc:
             if explicit:
                 raise
             skipped[name] = str(exc)
-        timings[name] = time.perf_counter() - t0
 
     return MetricReport(
         per_cluster=per_cluster,

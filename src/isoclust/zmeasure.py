@@ -36,13 +36,12 @@ dimensionalities of fresh Gaussian clusters.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import ClusterView, DataError, center_and_scale
+from .core import ClusterView, DataError, center_and_scale, timed
 from .spectral import spectral_summary
 from .synth import gaussian_cluster
 
@@ -189,10 +188,9 @@ def run_sweep(dims, points: int, repeats: int, counts, seed: int) -> list[dict]:
                 view = ClusterView(gaussian_cluster(dim, points, seed=int(data_seeds[i, r])), np.arange(points))
             dir_seed = int(dir_seeds[i, min(r, repeats - 1)])
             for j, (_, count) in enumerate(probes):
-                t0 = time.perf_counter()
-                value = isotropy_vec(view) if count is None else isotropy_rnd(view, count=count, seed=dir_seed)
-                times[j].append(time.perf_counter() - t0)
+                value, seconds = timed(isotropy_vec, view) if count is None else timed(isotropy_rnd, view, count, dir_seed)
                 values[j].append(value)
+                times[j].append(seconds)
         for (method, count), vals, secs in zip(probes, values, times):
             rows.append(
                 {

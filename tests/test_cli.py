@@ -76,6 +76,19 @@ def test_read_csv_label_mapping_first_appearance(cross_csv):
     assert cloud.columns == ["x", "y"]
 
 
+def test_read_csv_ignores_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with EF BB BF; here the label is the first column
+    text = "label,x,y\na,1.0,0.0\na,-1.0,0.0\nb,0.0,1.0\nb,0.0,-1.5\n"
+    cloud, assignment, mapping = read_cloud_csv(write_text(tmp_path / "plain.csv", text), "label")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    marked_cloud, marked_assignment, marked_mapping = read_cloud_csv(marked, "label")
+    assert marked_cloud.columns == cloud.columns == ["x", "y"]
+    np.testing.assert_array_equal(marked_cloud.data, cloud.data)
+    assert marked_assignment.labels.tolist() == assignment.labels.tolist()
+    assert marked_mapping == mapping
+
+
 def test_read_csv_errors(tmp_path):
     missing = tmp_path / "nope.csv"
     with pytest.raises(DataError, match="not found"):
@@ -240,6 +253,10 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert main(["measure", "--input", small, "--kmeans", "99", "--output", report]) == 3
     assert main(["measure", "--input", small, "--kmeans-multi", "2,2", "--output", report]) == 3
     assert main(["measure", "--input", small, "--kmeans", "2", "--threads", "-3", "--output", report]) == 3
+    labelled = write_text(tmp_path / "labelled.csv", "x,y,label\n1,2,a\n3,4,a\n5,7,b\n")
+    assert main(["measure", "--input", labelled, "--label-column", "label", "--metrics", "fa,fa",
+                 "--output", report]) == 3
+    assert "listed twice" in capsys.readouterr().err
     assert main(["mp", "--points", "10", "--dims", "10", "--empirical", "-1",
                  "--output", str(tmp_path / "mp.csv")]) == 3
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "mp.csv").exists()

@@ -47,6 +47,9 @@ def test_k_validation():
         kmeans(cloud, 4)  # more than points
     with pytest.raises(DataError, match="distinct"):
         kmeans(cloud, 3)  # more than distinct points
+    for max_iter in (0, -1):
+        with pytest.raises(DataError, match="max_iter"):
+            kmeans(cloud_of([[0.0], [1.0], [5.0]]), 2, max_iter=max_iter)
 
 
 def test_deterministic_for_seed():

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from isoclust import (
     isotropy_vec,
     random_unit_vectors,
     run_measure,
+    run_sweep,
     split_clusters,
 )
 from isoclust.cli import main
@@ -81,6 +84,27 @@ def test_one_spectral_summary_per_cluster(monkeypatch, threads, points, dims):
     assert len(calls) == k
     assert {"var_lambda", "fa", "i_vec"} <= report.per_cluster.keys()
     assert report.metadata["timings_s"]["spectral_summary"] >= 0.0
+
+
+def test_timings_with_a_fake_clock(monkeypatch):
+    # each clock reading is one second after the last, so every timed call reads 1.0
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    cloud, assignment = cross_and_pair(5)
+    report = run_measure(cloud, assignment, metrics=["fa", "i_vec", "silhouette"])
+    # per-cluster entries are summed over the two clusters
+    assert report.metadata["timings_s"] == {"spectral_summary": 2.0, "fa": 2.0, "i_vec": 2.0, "silhouette": 1.0}
+
+    rows = run_sweep([3], points=5, repeats=2, counts=[4], seed=0)
+    assert [(row["mean_seconds"], row["median_seconds"]) for row in rows] == [(1.0, 1.0), (1.0, 1.0)]
+
+
+def test_skipped_index_has_no_timing():
+    cloud = PointCloud(np.array(CROSS, dtype=float))
+    report = run_measure(cloud, ClusterAssignment([0, 0, 0, 0]))
+    assert "silhouette" in report.skipped
+    assert "silhouette" not in report.metadata["timings_s"]
+    assert "cluster_size_variance" in report.metadata["timings_s"]
 
 
 def test_out_of_bound_value_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
