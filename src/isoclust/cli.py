@@ -24,7 +24,7 @@ from .measure import METRICS, run_measure
 from .randmat import run_mp_rows
 from .synth import SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
 from .transforms import RbfMap, minmax_scale, pca_project, rbf_fit, rbf_transform
-from .zmeasure import run_sweep
+from .zmeasure import DEFAULT_RND_COUNT, run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def _kmeans_summary(k: int, result) -> dict:
 
 
 def cmd_measure(args) -> int:
-    metrics = args.metrics.split(",") if args.metrics else None
+    metrics = None if args.metrics is None else _parse_list(args.metrics, "--metrics", str)
     cloud, assignment, mapping = read_cloud_csv(args.input, args.label_column)
     report = {
         "version": __version__,
@@ -286,7 +286,7 @@ def cmd_project(args) -> int:
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
-    """A non-empty comma list of ``kind`` (int or float) values."""
+    """A non-empty comma list of ``kind`` (str, int or float) values."""
     try:
         values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run k-means at several K (default 5,10) and average global metrics",
     )
     p.add_argument("--metrics", help=f"comma list from: {','.join(METRICS)} (default: all)")
-    p.add_argument("--vectors", type=int, default=1000, help="random directions for i_rnd")
+    p.add_argument("--vectors", type=int, default=DEFAULT_RND_COUNT, help="random directions for i_rnd")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fa-normalized", action="store_true", help="scale FA so a one-hot spectrum is 1")
     p.add_argument("--threads", type=int, default=1, help="cap on per-cluster worker threads")

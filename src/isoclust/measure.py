@@ -35,7 +35,7 @@ from .validation import (
     mean_pairwise_dist,
     silhouette,
 )
-from .zmeasure import DirectionSet, isotropy_given_b, random_unit_vectors
+from .zmeasure import DEFAULT_RND_COUNT, DirectionSet, isotropy_given_b, random_unit_vectors
 
 
 class Cluster(NamedTuple):
@@ -97,7 +97,7 @@ def run_measure(
     cloud: PointCloud,
     assignment: ClusterAssignment,
     metrics=None,
-    vectors: int = 1000,
+    vectors: int = DEFAULT_RND_COUNT,
     seed: int = 0,
     fa_normalized: bool = False,
     threads: int = 1,

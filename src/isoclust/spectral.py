@@ -40,7 +40,8 @@ class SpectralSummary:
         coincident points).
     vectors : ndarray, shape (n, n)
         One unit eigenvector per eigenvalue, as rows, matching the
-        eigenvalue order.  Computed on first access.
+        eigenvalue order; the identity for a degenerate cluster.
+        Computed on first access.
     """
 
     def __init__(self, eigenvalues, degenerate, _centered=None, _vectors=None):
@@ -61,7 +62,9 @@ class SpectralSummary:
 
     @property
     def vectors(self) -> np.ndarray:
-        if self._vectors is None:
+        if self._vectors is None and self.degenerate:
+            self._vectors = np.eye(self.n_dims)
+        elif self._vectors is None:
             scatter = self._centered.T @ self._centered
             _, vecs = np.linalg.eigh(scatter)
             self._vectors = vecs[:, ::-1].T  # descending, one eigenvector per row
@@ -70,11 +73,10 @@ class SpectralSummary:
 
 def spectral_summary(view: ClusterView) -> SpectralSummary:
     """Eigen-summary of a cluster's centered scatter matrix."""
-    members = view.points
     n = view.n_dims
     if view.degenerate:
-        return SpectralSummary(np.zeros(n), True, _vectors=np.eye(n))
-    centered = members - view.centroid
+        return SpectralSummary(np.zeros(n), True)
+    centered = view.points - view.centroid
     if n <= view.size:
         scatter = centered.T @ centered
         vals, vecs = np.linalg.eigh(scatter)
@@ -107,8 +109,10 @@ def var_lambda(s) -> float | np.ndarray:
 
     Accepts a :class:`SpectralSummary` or a normalized eigenvalue
     array; a 2-D array is treated as a batch (one set per row) and
-    returns one variance per row.
+    returns one variance per row.  A degenerate cluster reports 0.
     """
+    if isinstance(s, SpectralSummary) and s.degenerate:
+        return 0.0
     lam = _as_lambdas(s)
     out = lam.var(axis=-1)
     return out if out.ndim else float(out)

@@ -1,7 +1,9 @@
 """Internal cluster validation measures, for use alongside the
 isotropy measures.  Definitions follow the standard literature forms;
 edge behavior is pinned down explicitly (singleton silhouette is 0,
-coincident centroids and zero dispersion are errors).
+coincident centroids and zero dispersion are errors).  Silhouette and
+Calinski-Harabasz read one cluster-ordered gather of the member rows;
+silhouette reduces its distance matrix to per-cluster sums per point.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     return float(pdist(view.points).mean())
 
 
-def _stack(views: list[ClusterView]):
+def _same_parent(views: list[ClusterView]):
     if len(views) < 2:
         raise DataError("need at least 2 clusters")
     parent = views[0].parent
-    for v in views:
-        if v.parent is not parent:
-            raise DataError("clusters belong to different point clouds")
+    if any(v.parent is not parent for v in views):
+        raise DataError("clusters belong to different point clouds")
     return parent
+
+
+def _stack(views: list[ClusterView]):
+    """Every cluster's member rows in view order, gathered once, and the
+    k+1 row offsets: cluster i owns rows ``starts[i]:starts[i + 1]``."""
+    data = _same_parent(views).data[np.concatenate([v.indices for v in views])]
+    return data, np.cumsum([0] + [v.size for v in views])
 
 
 def silhouette(views: list[ClusterView]) -> float:
@@ -42,31 +50,23 @@ def silhouette(views: list[ClusterView]) -> float:
     cluster, s = (b - a) / max(a, b).  Points in singleton clusters
     score 0.  A distance that overflows float64 is a ``NumericError``.
     """
-    _stack(views)
-    data = np.vstack([v.points for v in views])
-    sizes = [v.size for v in views]
-    starts = np.cumsum([0] + sizes)
+    data, starts = _stack(views)
     dists = cdist(data, data)
     if not np.isfinite(dists.max()):
         raise NumericError("silhouette pairwise distance overflows float64")
 
-    scores = np.zeros(len(data))
-    for i, vi in enumerate(views):
-        rows = slice(starts[i], starts[i + 1])
-        if vi.size == 1:
-            continue  # s := 0 for singletons
-        block = dists[rows]
-        own = block[:, rows].sum(axis=1) / (vi.size - 1)
-        others = np.full(vi.size, np.inf)
-        for j, vj in enumerate(views):
-            if j == i:
-                continue
-            cols = slice(starts[j], starts[j + 1])
-            others = np.minimum(others, block[:, cols].mean(axis=1))
-        denom = np.maximum(others, own)
-        safe = np.where(denom > 0, denom, 1.0)
-        scores[rows] = np.where(denom > 0, (others - own) / safe, 0.0)
-    return float(scores.mean())
+    # sums[p, j]: total distance from point p to the members of cluster j
+    sums = np.stack([dists[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])], axis=1)
+    sizes = np.diff(starts)
+    own = np.repeat(np.arange(len(views)), sizes)
+    rows = np.arange(len(data))
+    a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
+    sums[rows, own] = np.inf  # b ranges over the other clusters only
+    b = (sums / sizes).min(axis=1)
+    denom = np.maximum(b, a)
+    scored = (sizes[own] > 1) & (denom > 0)  # s := 0 for singletons
+    safe = np.where(scored, denom, 1.0)
+    return float(np.where(scored, (b - a) / safe, 0.0).mean())
 
 
 def davies_bouldin(views: list[ClusterView]) -> float:
@@ -75,10 +75,10 @@ def davies_bouldin(views: list[ClusterView]) -> float:
     centroid separation.  Lower is better; 0 only in the ideal case.
     Coincident centroids raise; an overflowing separation is a ``NumericError``.
     """
-    _stack(views)
+    _same_parent(views)
     k = len(views)
     s = np.array([v.mu for v in views])
-    cents = np.vstack([v.centroid for v in views])
+    cents = np.array([v.centroid for v in views])
     m = cdist(cents, cents)
     off = ~np.eye(k, dtype=bool)
     if not np.isfinite(m[off]).all():
@@ -94,15 +94,14 @@ def calinski_harabasz(views: list[ClusterView]) -> float:
     (BSS / (k-1)) / (WSS / (|E|-k)).  Zero within-cluster dispersion is
     a degenerate-dispersion error, an overflowing sum a ``NumericError``.
     """
-    _stack(views)
+    data, starts = _stack(views)
     k = len(views)
-    data = np.vstack([v.points for v in views])
     n = len(data)
     if n <= k:
         raise DataError(f"Calinski-Harabasz needs more points ({n}) than clusters ({k})")
     grand = data.mean(axis=0)
     bss = sum(v.size * float(((v.centroid - grand) ** 2).sum()) for v in views)
-    wss = sum(float(((v.points - v.centroid) ** 2).sum()) for v in views)
+    wss = sum(float(((data[lo:hi] - v.centroid) ** 2).sum()) for v, lo, hi in zip(views, starts, starts[1:]))
     if not (np.isfinite(bss) and np.isfinite(wss)):
         raise NumericError(f"Calinski-Harabasz sums of squares overflow float64: BSS={bss}, WSS={wss}")
     if wss == 0.0:

@@ -161,8 +161,6 @@ def isotropy_vec(view: ClusterView) -> float:
 
 def isotropy_rnd(view: ClusterView, count: int = DEFAULT_RND_COUNT, seed: int = 0) -> float:
     """Isotropy over ``count`` seeded random unit directions."""
-    if view.degenerate:
-        return 1.0
     return isotropy_given_b(view, random_unit_vectors(view.n_dims, count, seed))
 
 

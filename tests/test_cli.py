@@ -213,6 +213,19 @@ def test_measure_unknown_metric(cross_csv, tmp_path, capsys):
     assert "unknown metrics" in capsys.readouterr().err
 
 
+def test_measure_metrics_trailing_comma_ignored(cross_csv, tmp_path):
+    reports = []
+    for i, metrics in enumerate(("fa", "fa,")):
+        out = tmp_path / f"r{i}.json"
+        assert main(["measure", "--input", cross_csv, "--label-column", "label",
+                     "--metrics", metrics, "--output", str(out)]) == 0
+        report = load_json(out)
+        report.pop("metadata")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["params"]["metrics"] == ["fa"]
+
+
 def test_measure_fa_normalized_flag(tmp_path):
     csv_path = write_text(tmp_path / "line.csv", "x,y,label\n1,0,a\n-1,0,a\n0,1,b\n0,-1,b\n")
     out_raw, out_norm = tmp_path / "raw.json", tmp_path / "norm.json"
@@ -257,6 +270,10 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert main(["measure", "--input", labelled, "--label-column", "label", "--metrics", "fa,fa",
                  "--output", report]) == 3
     assert "listed twice" in capsys.readouterr().err
+    for empty in ("", ","):
+        assert main(["measure", "--input", labelled, "--label-column", "label", "--metrics", empty,
+                     "--output", report]) == 3
+        assert "--metrics got an empty list" in capsys.readouterr().err
     assert main(["mp", "--points", "10", "--dims", "10", "--empirical", "-1",
                  "--output", str(tmp_path / "mp.csv")]) == 3
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "mp.csv").exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ def test_one_spectral_summary_per_cluster(monkeypatch, threads, points, dims):
     assert len(calls) == k
     assert {"var_lambda", "fa", "i_vec"} <= report.per_cluster.keys()
     assert report.metadata["timings_s"]["spectral_summary"] >= 0.0
+
+
+def test_degenerate_cluster_builds_no_eigenbasis():
+    # a singleton in 3,000 dims: its 3000 x 3000 identity eigenbasis alone
+    # would be 72 MB, and var_lambda and fa read no eigenvectors
+    cloud = PointCloud(np.random.default_rng(4).normal(size=(3, 3000)))
+    tracemalloc.start()
+    try:
+        report = run_measure(cloud, ClusterAssignment([0, 0, 1]), metrics=["var_lambda", "fa"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert report.degenerate == [1]
+    assert report.per_cluster["var_lambda"][1] == 0.0 and report.per_cluster["fa"][1] == 0.0
 
 
 def test_timings_with_a_fake_clock(monkeypatch):

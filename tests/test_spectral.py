@@ -74,12 +74,16 @@ def test_eigenvectors_orthonormal_and_consistent():
 
 
 def test_single_point_degenerate():
-    s = spectral_summary(view_of([[3.0, 4.0, 5.0]]))
-    assert s.degenerate
-    np.testing.assert_allclose(s.eigenvalues, np.zeros(3))
-    np.testing.assert_allclose(s.lambdas, np.full(3, 1 / 3))
-    assert fractional_anisotropy(s) == 0.0
-    assert var_lambda(s) == 0.0
+    # var_lambda is exactly its sentinel 0, although the float variance of
+    # the uniform 1/n spectrum is not for every n (n = 7 is the first)
+    for n in (2, 7, 3000):
+        s = spectral_summary(view_of([np.arange(3.0, 3.0 + n)]))
+        assert s.degenerate
+        np.testing.assert_array_equal(s.eigenvalues, np.zeros(n))
+        np.testing.assert_allclose(s.lambdas, np.full(n, 1 / n))
+        assert fractional_anisotropy(s) == 0.0
+        assert var_lambda(s) == 0.0
+        np.testing.assert_array_equal(s.vectors, np.eye(n))
 
 
 def test_var_lambda_hand_values():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isoclust import (
     ClusterAssignment,
+    ClusterView,
     DataError,
     PointCloud,
     calinski_harabasz,
@@ -138,8 +141,9 @@ def test_silhouette_needs_two_clusters():
 def test_mixed_parents_rejected():
     a = make_views([[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
     b = make_views([[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
-    with pytest.raises(DataError):
-        silhouette([a[0], b[1]])
+    for index in (silhouette, davies_bouldin, calinski_harabasz):
+        with pytest.raises(DataError, match="different point clouds"):
+            index([a[0], b[1]])
 
 
 # --- Davies-Bouldin -----------------------------------------------------------
@@ -192,6 +196,43 @@ def test_calinski_harabasz_errors():
     dup = make_views([[0, 0], [0, 0], [5, 5], [5, 5]], [0, 0, 1, 1])
     with pytest.raises(DataError, match="degenerate dispersion"):
         calinski_harabasz(dup)
+
+
+# --- the whole-clustering indices against the references ----------------------
+
+
+@st.composite
+def clusterings(draw):
+    """Integer points, so ties and coincident points occur, in 2-6 clusters
+    with singletons allowed.  The views come from ``split_clusters`` or, as
+    a shuffled list, from an arbitrary ordering of each cluster's rows."""
+    dims = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 14))
+    points = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dims, max_size=dims), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(draw(st.permutations(list(range(k)) + extra)))
+    cloud = PointCloud(np.asarray(points, dtype=float))
+    if draw(st.booleans()):
+        views = split_clusters(cloud, ClusterAssignment(labels))
+    else:
+        order = draw(st.permutations(range(n)))
+        views = [ClusterView(cloud, [i for i in order if labels[i] == c], c) for c in range(k)]
+        views = draw(st.permutations(views))
+    return points, labels, views
+
+
+@given(clusterings())
+def test_indices_match_references(case):
+    points, labels, views = case
+    assert silhouette(views) == pytest.approx(silhouette_ref(points, labels), abs=1e-12)
+    # zero within-cluster scatter (every cluster's points coincide) leaves CH undefined
+    spread = any(len({tuple(p) for p, c in zip(points, labels) if c == v.cluster_id}) > 1 for v in views)
+    if spread:
+        assert calinski_harabasz(views) == pytest.approx(calinski_harabasz_ref(points, labels), rel=1e-10)
+    else:
+        with pytest.raises(DataError):
+            calinski_harabasz(views)
 
 
 # --- size variance ------------------------------------------------------------

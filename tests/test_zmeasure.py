@@ -239,4 +239,7 @@ def test_degenerate_sentinels():
     assert isotropy_vec(degenerate) == 1.0
     assert isotropy_rnd(degenerate, count=10, seed=0) == 1.0
     assert isotropy_given_b(degenerate, AXES) == 1.0
+    # the sentinel does not skip the check every other cluster gets
+    with pytest.raises(DataError, match="count must be >= 2"):
+        isotropy_rnd(degenerate, count=1)
 
