@@ -2,9 +2,11 @@
 
 Subcommands: measure, sweep, mp, transform, generate, cluster,
 project.  CSV in and out (RFC 4180, header row); reports are UTF-8
-JSON.  Outputs are byte-identical for identical inputs and equal
-seeds; wall-clock timings, which vary, live in a report's "metadata"
-block, the one part excluded from that guarantee.
+JSON.  Outputs are byte-identical for identical inputs, equal seeds
+and an equal BLAS thread count (large scatter products and
+eigendecompositions round differently across thread counts);
+wall-clock timings, which vary, live in a report's "metadata" block,
+the one part excluded from that guarantee.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -400,6 +402,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise DataError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except DataError as exc:
         print(f"isoclust: data error: {exc}", file=sys.stderr)

@@ -212,7 +212,10 @@ _METRIC_BOUNDS = {
 _BOUND_SLACK = 1e-9
 
 
-def _check_bounds(name: str, value: float) -> None:
+def check_bounds(name: str, value: float) -> None:
+    """Raise ``NumericError`` unless the value of metric ``name`` lies in
+    its documented bound (within a 1e-9 slack), or, for a metric with
+    no bound, is finite."""
     for prefix, (lo, hi) in _METRIC_BOUNDS.items():
         if name == prefix or name.startswith(prefix):
             if not (lo - _BOUND_SLACK <= value <= hi + _BOUND_SLACK):
@@ -247,9 +250,9 @@ class MetricReport:
             raise DataError(f"per-cluster metric lists disagree on k: {sorted(sizes)}")
         for name, vals in self.per_cluster.items():
             for v in vals:
-                _check_bounds(name, float(v))
+                check_bounds(name, float(v))
         for name, v in self.overall.items():
-            _check_bounds(name, float(v))
+            check_bounds(name, float(v))
 
     def to_dict(self) -> dict:
         return {

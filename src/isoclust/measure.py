@@ -35,7 +35,7 @@ from .validation import (
     mean_pairwise_dist,
     silhouette,
 )
-from .zmeasure import DEFAULT_RND_COUNT, DirectionSet, isotropy_given_b, random_unit_vectors
+from .zmeasure import DEFAULT_RND_COUNT, DirectionSet, isotropy_given_b, isotropy_vec, random_unit_vectors
 
 
 class Cluster(NamedTuple):
@@ -66,11 +66,7 @@ METRICS = {
     "fa": Metric(
         lambda c: fractional_anisotropy(c.summary, normalized=c.fa_normalized), "fa_g", spectral=True
     ),
-    "i_vec": Metric(
-        lambda c: isotropy_given_b(c.view, DirectionSet(c.summary.vectors, provenance="eigenvector")),
-        "i_g_vec",
-        spectral=True,
-    ),
+    "i_vec": Metric(lambda c: isotropy_vec(c.view, c.summary), "i_g_vec", spectral=True),
     "i_rnd": Metric(lambda c: isotropy_given_b(c.view, c.rnd_set), "i_g_rnd"),
     "mean_dist_to_centroid": Metric(lambda c: mean_dist_to_centroid(c.view)),
     "mean_pairwise_dist": Metric(lambda c: mean_pairwise_dist(c.view)),

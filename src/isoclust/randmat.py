@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterView, DataError, NumericError
+from .core import ClusterView, DataError, NumericError, check_bounds
 from .spectral import fractional_anisotropy, spectral_summary, var_lambda
 from .synth import gaussian_cluster
 
@@ -156,7 +156,9 @@ def expected_var_lambda(params: MpParams) -> float:
 def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, seed: int) -> list[dict]:
     """Spectral-law predictions per dimensionality, with optional
     empirical columns from ``empirical`` sampled Gaussian clusters
-    (mu = 0 only; otherwise, and with 0 clusters, they are None)."""
+    (mu = 0 only; otherwise, and with 0 clusters, they are None).
+    A predicted or measured FA or Var(lambda) outside its documented
+    bound raises ``NumericError``."""
     if empirical < 0:
         raise DataError(f"empirical must be >= 0, got {empirical}")
     rows = []
@@ -189,5 +191,16 @@ def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, see
                 variances.append(float(var_lambda(summary)))
             row["measured_fa_mean"] = sum(fas) / empirical
             row["measured_var_lambda_mean"] = sum(variances) / empirical
+        for column, metric in (
+            ("expected_fa", "fa"),
+            ("expected_var_lambda", "var_lambda"),
+            ("measured_fa_mean", "fa"),
+            ("measured_var_lambda_mean", "var_lambda"),
+        ):
+            if row[column] is not None:
+                try:
+                    check_bounds(metric, row[column])
+                except NumericError as exc:
+                    raise NumericError(f"dims={n}, {column}: {exc}") from None
         rows.append(row)
     return rows

@@ -14,8 +14,9 @@ scalar measures follow:
 
 Eigenvalues are found on the cheaper side of the problem: the n x n
 scatter matrix when n <= |C|, otherwise the |C| x |C| Gram matrix,
-which shares the nonzero spectrum.  Eigenvectors are only needed by
-the directional measures and are computed lazily on first access.
+which shares the nonzero spectrum.  Eigenvectors, read only by the
+directional measures, come from one scatter decomposition: with the
+eigenvalues on the scatter side, on first access on the Gram side.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class SpectralSummary:
     vectors : ndarray, shape (n, n)
         One unit eigenvector per eigenvalue, as rows, matching the
         eigenvalue order; the identity for a degenerate cluster.
-        Computed on first access.
+        Computed on first access when the Gram side found the eigenvalues.
     """
 
     def __init__(self, eigenvalues, degenerate, _centered=None, _vectors=None):
@@ -65,10 +66,14 @@ class SpectralSummary:
         if self._vectors is None and self.degenerate:
             self._vectors = np.eye(self.n_dims)
         elif self._vectors is None:
-            scatter = self._centered.T @ self._centered
-            _, vecs = np.linalg.eigh(scatter)
-            self._vectors = vecs[:, ::-1].T  # descending, one eigenvector per row
+            _, self._vectors = _scatter_eigh(self._centered)
         return self._vectors
+
+
+def _scatter_eigh(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues of ``centered.T @ centered``, one eigenvector per row."""
+    vals, vecs = np.linalg.eigh(centered.T @ centered)
+    return vals[::-1], vecs[:, ::-1].T
 
 
 def spectral_summary(view: ClusterView) -> SpectralSummary:
@@ -78,10 +83,8 @@ def spectral_summary(view: ClusterView) -> SpectralSummary:
         return SpectralSummary(np.zeros(n), True)
     centered = view.points - view.centroid
     if n <= view.size:
-        scatter = centered.T @ centered
-        vals, vecs = np.linalg.eigh(scatter)
-        eig = np.clip(vals[::-1], 0.0, None)
-        return SpectralSummary(eig, False, _vectors=vecs[:, ::-1].T)
+        vals, vecs = _scatter_eigh(centered)
+        return SpectralSummary(np.clip(vals, 0.0, None), False, _vectors=vecs)
     # High-dimensional case: the Gram matrix carries the nonzero spectrum.
     gram = centered @ centered.T
     vals = np.linalg.eigvalsh(gram)

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import ClusterView, DataError, center_and_scale, timed
-from .spectral import spectral_summary
+from .spectral import SpectralSummary, spectral_summary
 from .synth import gaussian_cluster
 
 DEFAULT_RND_COUNT = 1000
@@ -66,7 +66,8 @@ class DirectionSet:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataError(f"direction set must be a non-empty 2-D array, got shape {v.shape}")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        # written as "all within" so that a NaN norm fails it
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):
             raise DataError("direction set contains non-unit vectors")
         self.vectors = v
 
@@ -99,12 +100,6 @@ def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, n_dims))
     norms = np.linalg.norm(raw, axis=1)
-    # a zero draw has probability ~0; keep the constructor happy anyway
-    bad = norms < 1e-300
-    if np.any(bad):
-        raw[bad] = 0.0
-        raw[bad, 0] = 1.0
-        norms[bad] = 1.0
     return DirectionSet(raw / norms[:, None], provenance=f"random(seed={seed}, count={count})")
 
 
@@ -144,18 +139,21 @@ def isotropy_given_b(view: ClusterView, b: DirectionSet) -> float:
     if view.degenerate:
         return 1.0
     logs = _log_z_both(center_and_scale(view, view.points), b.vectors)
-    return min(1.0, float(np.exp(logs.min() - logs.max())))
+    return float(np.exp(logs.min() - logs.max()))
 
 
-def isotropy_vec(view: ClusterView) -> float:
+def isotropy_vec(view: ClusterView, summary: SpectralSummary | None = None) -> float:
     """Isotropy over the scatter matrix eigenvector directions.
 
     All n eigenvectors participate, including zero-eigenvalue ones;
-    both orientations of each are evaluated.
+    both orientations of each are evaluated.  A caller holding the view's
+    spectral summary passes it as ``summary``; a degenerate view returns
+    the sentinel 1.0 before any eigenbasis is built.
     """
     if view.degenerate:
         return 1.0
-    summary = spectral_summary(view)
+    if summary is None:
+        summary = spectral_summary(view)
     return isotropy_given_b(view, DirectionSet(summary.vectors, provenance="eigenvector"))
 
 

@@ -276,7 +276,21 @@ def test_data_errors_exit_3(tmp_path, capsys):
         assert "--metrics got an empty list" in capsys.readouterr().err
     assert main(["mp", "--points", "10", "--dims", "10", "--empirical", "-1",
                  "--output", str(tmp_path / "mp.csv")]) == 3
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "mp.csv").exists()
+    # a negative seed is rejected whether or not it would reach a generator
+    for argv in (
+        ["measure", "--input", small, "--kmeans", "2", "--output", report],
+        ["measure", "--input", labelled, "--label-column", "label", "--metrics", "fa", "--output", report],
+        ["sweep", "--dims", "3", "--points", "5", "--repeats", "1", "--vectors", "10",
+         "--output", str(tmp_path / "sweep.csv")],
+        ["mp", "--points", "10", "--dims", "10", "--output", str(tmp_path / "mp.csv")],
+        ["transform", "--input", small, "--components", "4", "--output", str(tmp_path / "t.csv")],
+        ["generate", "--kind", "gaussian", "--points", "5", "--output", str(tmp_path / "g.csv")],
+        ["cluster", "--input", small, "--kmeans", "2", "--output", str(tmp_path / "c.csv")],
+    ):
+        assert main([*argv, "--seed", "-1"]) == 3
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json")) and not (tmp_path / "mp.csv").exists()
+    assert not any((tmp_path / name).exists() for name in ("sweep.csv", "g.csv", "c.csv"))
     assert main(["transform", "--input", small, "--output", str(tmp_path / "t.csv")]) == 3
     assert main(["transform", "--input", small, "--gamma", "0.5",
                  "--output", str(tmp_path / "t.csv")]) == 3
@@ -301,6 +315,12 @@ def test_numeric_error_exit_4(tmp_path, capsys):
     assert code == 4
     assert "numeric error" in capsys.readouterr().err
     assert not out.exists()
+    # on these tiny grids the predicted Var(lambda) is above its bound of 1/4
+    for grid in (["--points", "1", "--dims", "1", "--empirical", "0"],
+                 ["--points", "2", "--dims", "1", "--empirical", "3"]):
+        assert main(["mp", *grid, "--output", str(out)]) == 4
+        assert "expected_var_lambda" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # unlabelled points at +-1e200: the k-means++ seeding's squared distances overflow

@@ -87,19 +87,30 @@ def test_one_spectral_summary_per_cluster(monkeypatch, threads, points, dims):
     assert report.metadata["timings_s"]["spectral_summary"] >= 0.0
 
 
+def peak_traced_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_degenerate_cluster_builds_no_eigenbasis():
     # a singleton in 3,000 dims: its 3000 x 3000 identity eigenbasis alone
     # would be 72 MB, and var_lambda and fa read no eigenvectors
-    cloud = PointCloud(np.random.default_rng(4).normal(size=(3, 3000)))
-    tracemalloc.start()
-    try:
-        report = run_measure(cloud, ClusterAssignment([0, 0, 1]), metrics=["var_lambda", "fa"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    p, q, r = np.random.default_rng(4).normal(size=(3, 3000))
+    assignment = ClusterAssignment([0, 0, 1])
+    report, peak = peak_traced_bytes(run_measure, PointCloud([p, q, r]), assignment, metrics=["var_lambda", "fa"])
     assert peak < 8e6
     assert report.degenerate == [1]
     assert report.per_cluster["var_lambda"][1] == 0.0 and report.per_cluster["fa"][1] == 0.0
+    # points p, p, q make both clusters degenerate: i_vec reports the
+    # sentinel for each before any eigenbasis exists
+    report, peak = peak_traced_bytes(run_measure, PointCloud([p, p, q]), assignment, metrics=["i_vec"])
+    assert peak < 8e6
+    assert report.degenerate == [0, 1]
+    assert report.per_cluster["i_vec"] == [1.0, 1.0]
 
 
 def test_timings_with_a_fake_clock(monkeypatch):

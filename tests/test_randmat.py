@@ -236,3 +236,14 @@ def test_prediction_matches_sampled_clusters():
         view = ClusterView(PointCloud(data), np.arange(points))
         measured.append(fractional_anisotropy(spectral_summary(view)))
     assert np.mean(measured) == pytest.approx(predicted, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "points, dims, mu, empirical",
+    [(1, 1, 0.0, 0), (2, 1, 0.0, 3), (5, 3, 3.0, 0)],
+)
+def test_run_mp_rows_rejects_predictions_outside_the_bound(points, dims, mu, empirical):
+    # Var(lambda) lies in [0, 1/4], but on these tiny grids the spectral
+    # law predicts more, so no row is returned
+    with pytest.raises(NumericError, match="expected_var_lambda: var_lambda = .* outside documented bound"):
+        run_mp_rows(points, [dims], sigma2=1.0, mu=mu, empirical=empirical, seed=0)

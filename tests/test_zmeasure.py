@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoclust import (
     ClusterView,
@@ -10,6 +12,7 @@ from isoclust import (
     isotropy_rnd,
     isotropy_vec,
     random_unit_vectors,
+    spectral_summary,
     z_prime,
     z_raw,
 )
@@ -41,6 +44,8 @@ def test_direction_set_validation():
         DirectionSet(np.array([[1.0, 1.0]]))  # not unit
     with pytest.raises(DataError):
         DirectionSet(np.empty((0, 2)))
+    with pytest.raises(DataError):
+        DirectionSet(np.array([[np.nan, 0.0], [1.0, 0.0]]))  # a NaN norm is not unit
     ds = DirectionSet(np.array([1.0, 0.0]))  # 1-D input is promoted
     assert ds.vectors.shape == (1, 2)
     assert ds.count == 1
@@ -203,8 +208,6 @@ def test_isotropy_vec_uses_null_directions():
     # 3 points spanning a plane inside R^3: the zero-eigenvalue
     # eigenvector participates, so the full set can only tighten the
     # bound given by the two in-plane eigenvectors
-    from isoclust import spectral_summary
-
     pts = np.array([[1.0, 0, 0], [-1.0, 0.2, 0], [0.1, -0.9, 0]])
     view = view_of(pts)
     vectors = spectral_summary(view).vectors
@@ -243,3 +246,42 @@ def test_degenerate_sentinels():
     with pytest.raises(DataError, match="count must be >= 2"):
         isotropy_rnd(degenerate, count=1)
 
+
+
+# --- the Jensen oracle ----------------------------------------------------------
+
+
+@st.composite
+def wide_heavy_tailed_clusters(draw):
+    """Student-t (3 degrees of freedom) clusters with at least as many
+    dimensions as points, at scales from 1e-3 to 1e3."""
+    size = draw(st.integers(2, 10))
+    dims = draw(st.integers(size, 30))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return view_of(rng.standard_t(3, size=(size, dims)) * scale)
+
+
+@settings(max_examples=40)
+@given(wide_heavy_tailed_clusters(), st.integers(0, 2**32 - 1))
+def test_isotropy_vec_matches_the_jensen_oracle(view, seed):
+    # centred points sum to zero, so by Jensen Z'(a) >= |C| for every a,
+    # with equality on the scatter null space, which n >= |C| guarantees;
+    # isotropy_vec is then |C| over the largest Z' of the row-space
+    # eigenvectors, which the |C| x |C| Gram matrix gives without the
+    # n x n eigenbasis
+    def log_z_both(directions):
+        return [np.log(z_prime(view, sign * a)) for a in directions for sign in (1.0, -1.0)]
+
+    probes = random_unit_vectors(view.n_dims, 50, seed).vectors
+    assert min(log_z_both(probes)) >= np.log(view.size) - 1e-12
+
+    centered = view.points - view.centroid
+    _, u = np.linalg.eigh(centered @ centered.T)
+    rows = (centered.T @ u[:, 1:]).T  # rank |C| - 1: drop the Gram null vector
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    oracle = view.size / np.exp(max(log_z_both(rows)))
+
+    value = isotropy_vec(view)
+    assert value == pytest.approx(oracle, rel=1e-10, abs=0)
+    assert isotropy_vec(view, spectral_summary(view)) == value
