@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -33,22 +34,36 @@ from .zmeasure import DEFAULT_RND_COUNT, run_sweep
 # CSV I/O
 
 
+@contextmanager
+def _utf8_input(path):
+    """Turn a byte that does not decode as UTF-8, read in the block, into
+    a ``DataError`` naming the input file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def read_cloud_csv(path, label_column: str | None = None):
     """Read a CSV with a header row into (cloud, labels_or_None).
 
     All columns except the label column must be numeric; parse
-    failures are reported with their row number.
+    failures are reported with their row number.  A header that names
+    a column twice is rejected.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _utf8_input(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        if len(set(header)) != len(header):
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            raise DataError(f"{path}: the header names {repeated} more than once")
         label_idx = None
         if label_column is not None:
             if label_column not in header:
@@ -161,6 +176,7 @@ def cmd_measure(args) -> int:
             section["kmeans"] = _kmeans_summary(k, result)
             runs[str(k)] = section
             metadata[f"timings_s.k={k}"] = timings
+            metadata[f"kmeans_inertia_history.k={k}"] = result.inertia_history
             for name, value in section["global"].items():
                 sums.setdefault(name, []).append(value)
         report["multi"] = runs
@@ -172,6 +188,7 @@ def cmd_measure(args) -> int:
             result = kmeans(cloud, args.kmeans, seed=args.seed)
             assignment = result.assignment
             report["kmeans"] = _kmeans_summary(args.kmeans, result)
+            metadata["kmeans_inertia_history"] = result.inertia_history
         elif assignment is None:
             raise DataError("no labels: pass --label-column, --kmeans or --kmeans-multi")
         if mapping is not None:
@@ -215,7 +232,9 @@ def cmd_transform(args) -> int:
     if args.rbf_map:
         if args.components is not None or args.gamma is not None:
             raise DataError("--rbf-map reuses a saved map; omit --components and --gamma")
-        rbf = RbfMap.from_json(Path(args.rbf_map).read_text(encoding="utf-8"))
+        with _utf8_input(args.rbf_map):
+            text = Path(args.rbf_map).read_text(encoding="utf-8")
+        rbf = RbfMap.from_json(text)
         cloud = rbf_transform(rbf, cloud)
     elif args.components is not None:
         gamma = args.gamma if args.gamma is not None else 1.0 / cloud.n_dims
@@ -262,6 +281,8 @@ def cmd_generate(args) -> int:
 
 def cmd_cluster(args) -> int:
     cloud, _, _ = read_cloud_csv(args.input)
+    if "label" in cloud.columns:
+        raise DataError(f"{args.input} has a column named 'label'; cluster would write a second one")
     result = kmeans(cloud, args.kmeans, seed=args.seed)
     write_cloud_csv(args.output, cloud, labels=result.assignment.labels)
     sidecar = args.centroids or (str(args.output) + ".centroids.json")

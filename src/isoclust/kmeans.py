@@ -6,6 +6,10 @@ nearest-centroid ties broken by lowest id, an empty cluster repaired
 by taking the point farthest from its centroid among clusters that keep
 another member (and flagged), and the per-iteration inertia sequence
 exposed and checked to be finite and nonincreasing.
+
+Lloyd's iteration stops at its exact fixed point, where recomputing the
+centroids leaves every value unchanged, or after ``max_iter``
+iterations; with no tolerance, where the origin lies does not matter.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from scipy.spatial.distance import cdist
 from .core import ClusterAssignment, DataError, NumericError, PointCloud
 
 MAX_ITER = 300
-TOL = 1e-6  # relative centroid movement
 
 
 @dataclass
@@ -85,7 +88,13 @@ def kmeans(
     ``init`` may be an explicit (k, n_dims) centroid array; by default
     k-means++ seeding is used.  Deterministic for fixed inputs and
     seed.  The result's label ids are contiguous 0..k-1 and every
-    cluster is non-empty (see the module's reseed rule).  An inertia
+    cluster is non-empty (see the module's reseed rule).  A result
+    that stopped before ``max_iter`` without a reseed has centroids
+    equal to its clusters' means and labels equal to its
+    nearest-centroid assignment.  Where the spread is about 1e-15 of the
+    offset, points a few dozen ULPs apart, the rounded means need not
+    lower the inertia: the loop can cycle until ``max_iter`` or raise
+    the nonincreasing-inertia ``NumericError``.  An inertia
     that overflows float64 is a ``NumericError``, and so are k-means++
     squared distances whose sum overflows.  That sum depends on the
     first, seeded centre, so the outcome can depend on the seed: on the
@@ -131,10 +140,9 @@ def kmeans(
         np.add.at(new_centroids, labels, data)
         new_centroids /= counts[:, None]
 
-        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
-        scale = float(np.linalg.norm(centroids, axis=1).max())
+        converged = np.array_equal(new_centroids, centroids)
         centroids = new_centroids
-        if shift <= TOL * max(scale, 1e-12):
+        if converged:
             break
 
     labels, _, _, moved = _assign(data, centroids)

@@ -90,6 +90,8 @@ class RbfMap:
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
         if self.weights.ndim != 2 or self.offsets.shape != (self.weights.shape[1],):
             raise DataError("weights must be (n_in, n_out) with one offset per output")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.offsets).all()):
+            raise DataError("weights and offsets must be finite")
 
     @property
     def n_in(self) -> int:
@@ -113,15 +115,21 @@ class RbfMap:
 
     @classmethod
     def from_json(cls, text: str) -> "RbfMap":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("kind") != "rbf_map":
-            raise DataError("not a serialized RBF map")
-        return cls(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            offsets=np.asarray(doc["offsets"], dtype=np.float64),
-            gamma=float(doc["gamma"]),
-            seed=int(doc["seed"]),
-        )
+        """Parse ``to_json`` output.  Text that is not JSON, a missing
+        key and a field that is not numeric are each a ``DataError``."""
+        try:
+            doc = json.loads(text)
+            if doc["kind"] != "rbf_map":
+                raise ValueError(f"kind is {doc['kind']!r}")
+            fields = dict(
+                weights=np.asarray(doc["weights"], dtype=np.float64),
+                offsets=np.asarray(doc["offsets"], dtype=np.float64),
+                gamma=float(doc["gamma"]),
+                seed=int(doc["seed"]),
+            )
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise DataError(f"not a serialized RBF map ({type(exc).__name__}: {exc})") from None
+        return cls(**fields)
 
 
 def rbf_fit(n_in: int, n_out: int, gamma: float, seed: int) -> RbfMap:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoclust import DataError, run_sweep
+from isoclust import DataError, kmeans, run_sweep
 from isoclust.cli import main, read_cloud_csv, run_measure, write_cloud_csv
 from isoclust.core import PointCloud
 
@@ -107,6 +107,11 @@ def test_read_csv_errors(tmp_path):
         read_cloud_csv(ragged)
     with pytest.raises(DataError, match="no column named"):
         read_cloud_csv(write_text(tmp_path / "l.csv", "x,y\n1,2\n"), label_column="label")
+    # a repeated name would leave --label-column to pick one of the two
+    repeated = write_text(tmp_path / "twice.csv", "x,label,label\n0,5,0\n1,3,1\n")
+    for label_column in (None, "label"):
+        with pytest.raises(DataError, match=r"names \['label'\] more than once"):
+            read_cloud_csv(repeated, label_column=label_column)
 
 
 # --- measure ------------------------------------------------------------------
@@ -160,6 +165,9 @@ def test_measure_kmeans(blobs_csv, tmp_path):
     assert report["kmeans"]["k"] == 3
     assert report["kmeans"]["inertia"] > 0
     assert "label_mapping" not in report
+    history = report["metadata"]["kmeans_inertia_history"]
+    assert history == kmeans(read_cloud_csv(blobs_csv)[0], 3, seed=0).inertia_history
+    assert len(history) == report["kmeans"]["iterations"]
 
 
 def test_measure_kmeans_multi(blobs_csv, tmp_path):
@@ -174,6 +182,12 @@ def test_measure_kmeans_multi(blobs_csv, tmp_path):
     mean_fa = (report["multi"]["2"]["global"]["fa_g"] + report["multi"]["3"]["global"]["fa_g"]) / 2
     assert report["global_mean"]["fa_g"] == pytest.approx(mean_fa, abs=1e-15)
     assert "timings_s.k=2" in report["metadata"] and "timings_s.k=3" in report["metadata"]
+    cloud = read_cloud_csv(blobs_csv)[0]
+    for k in (2, 3):
+        history = report["metadata"][f"kmeans_inertia_history.k={k}"]
+        assert history == kmeans(cloud, k, seed=0).inertia_history
+        assert len(history) == report["multi"][str(k)]["kmeans"]["iterations"]
+    assert "kmeans_inertia_history" not in report["metadata"]
 
 
 def test_measure_metrics_subset(cross_csv, tmp_path):
@@ -305,6 +319,46 @@ def test_data_errors_exit_3(tmp_path, capsys):
         assert main(["transform", "--input", small, "--rbf-map", rbf_map, *extra,
                      "--output", str(tmp_path / "t.csv")]) == 3
     assert not (tmp_path / "t.csv").exists()
+    capsys.readouterr()
+    # a cp1252 export: 0xe9 is an accented e there, and not UTF-8
+    cp1252 = tmp_path / "cp1252.csv"
+    cp1252.write_bytes(b"caf\xe9,y\n1,2\n3,4\n5,7\n")
+    for argv in (
+        ["measure", "--kmeans", "2", "--output", str(tmp_path / "m.json")],
+        ["cluster", "--kmeans", "2", "--output", str(tmp_path / "c.csv")],
+        ["transform", "--minmax", "--output", str(tmp_path / "t.csv")],
+        ["project", "--output", str(tmp_path / "p.csv")],
+    ):
+        assert main([*argv, "--input", str(cp1252)]) == 3
+        assert f"{cp1252}: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
+    text = Path(rbf_map).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    broken = {
+        "truncated.json": (text[: len(text) // 2], "utf-8", "not a serialized RBF map (JSONDecodeError"),
+        "no_weights.json": (json.dumps({k: v for k, v in doc.items() if k != "weights"}),
+                            "utf-8", "not a serialized RBF map (KeyError: 'weights')"),
+        "text_gamma.json": (json.dumps({**doc, "gamma": "wide"}), "utf-8",
+                            "not a serialized RBF map (ValueError: could not convert"),
+        "cp1252.json": (json.dumps({**doc, "kind": "rbf_map\xe9"}, ensure_ascii=False), "cp1252",
+                        f"{tmp_path / 'cp1252.json'}: not UTF-8 text (byte 0xe9"),
+    }
+    for name, (content, encoding, message) in broken.items():
+        (tmp_path / name).write_text(content, encoding=encoding)
+        assert main(["transform", "--input", small, "--rbf-map", str(tmp_path / name),
+                     "--output", str(tmp_path / "t.csv")]) == 3
+        assert message in capsys.readouterr().err
+    produced = {"m.json", "c.csv", "c.csv.centroids.json", "t.csv", "p.csv"}
+    assert not any((tmp_path / name).exists() for name in produced)
+
+
+def test_cluster_rejects_an_input_with_a_label_column(tmp_path, capsys):
+    # the appended label column would repeat the name, and a later
+    # --label-column label would read the feature column instead
+    src = write_text(tmp_path / "in.csv", "x,label\n0,0\n1,5\n10,3\n11,4\n")
+    out = tmp_path / "out.csv"
+    assert main(["cluster", "--input", src, "--kmeans", "2", "--output", str(out)]) == 3
+    assert "has a column named 'label'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
 def test_numeric_error_exit_4(tmp_path, capsys):

@@ -17,8 +17,11 @@ README_BLOCKS = [
 
 
 def run_python(args, cwd):
+    """Run a fresh interpreter under the suite's warning policy, which the
+    pytest ``filterwarnings`` setting does not pass on to subprocesses."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", *args]
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_demos_found():

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from isoclust import DataError, NumericError, PointCloud, kmeans
+from isoclust.kmeans import MAX_ITER
 
 
 def cloud_of(points) -> PointCloud:
@@ -151,6 +153,52 @@ def test_explicit_init_always_gives_k_nonempty_finite_clusters(case, max_iter):
     assert np.isfinite(result.centroids).all() and np.isfinite(result.inertia)
     labels = result.assignment.labels
     assert result.inertia == float(((cloud.data - result.centroids[labels]) ** 2).sum())
+
+
+@st.composite
+def offset_integer_clouds(draw):
+    """Integer clouds with repeated points and a valid k, moved by an
+    integer offset of up to 1e9 per axis, so every coordinate is exact."""
+    dims = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    coords = st.lists(st.integers(-50, 50), min_size=dims, max_size=dims)
+    distinct = draw(st.lists(coords, min_size=k + 6, max_size=k + 30, unique_by=tuple))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=10))
+    # orders of magnitude up to 1e9 about equally often (Hypothesis's own
+    # integer draws favour small values)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = rng.integers(-10**9, 10**9, size=dims, endpoint=True) // 10 ** rng.integers(0, 10)
+    return np.asarray(distinct + repeats, dtype=float) + offset, k, draw(st.integers(0, 1000))
+
+
+@given(offset_integer_clouds())
+def test_converged_result_is_a_fixed_point(case):
+    # Lloyd's iteration ends where recomputing the centroids changes nothing,
+    # wherever the cloud sits relative to the origin
+    data, k, seed = case
+    result = kmeans(cloud_of(data), k, seed=seed)
+    assume(result.n_iter < MAX_ITER and not result.reseeded)
+    labels = result.assignment.labels
+    means = np.zeros_like(result.centroids)
+    np.add.at(means, labels, data)
+    means /= np.bincount(labels, minlength=k)[:, None]
+    np.testing.assert_array_equal(result.centroids, means)
+    np.testing.assert_array_equal(labels, cdist(data, result.centroids, "sqeuclidean").argmin(axis=1))
+
+
+def test_far_offset_cloud_converges_as_at_the_origin():
+    # at x = 1e160 a centroid's norm overflows float64; no squared distance does
+    y = [0.0, 1.0, 5.0, 6.0, 20.0, 21.0]
+    runs = []
+    for x in (1e160, 0.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs.append(kmeans(cloud_of([[x, v] for v in y]), 2, init=[[x, 0.0], [x, 1.0]]))
+    far, origin = runs
+    assert far.n_iter == origin.n_iter == 4
+    assert far.inertia == origin.inertia == 26.5
+    assert far.inertia_history == origin.inertia_history
+    np.testing.assert_array_equal(far.assignment.labels, origin.assignment.labels)
 
 
 def test_seeding_overflow_raises_without_warning():

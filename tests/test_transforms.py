@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,17 @@ def test_rbf_map_json_round_trip():
     assert back.to_json() == text
     with pytest.raises(DataError):
         RbfMap.from_json("{\"kind\": \"other\"}")
+    doc = json.loads(text)
+    for bad in (
+        text[:-1],
+        "[1, 2]",
+        json.dumps({k: v for k, v in doc.items() if k != "offsets"}),
+        json.dumps({**doc, "seed": "nine"}),
+        json.dumps({**doc, "weights": [[None] * 32] * 4}),
+        json.dumps({**doc, "weights": [[1.0, 2.0], [3.0]]}),
+    ):
+        with pytest.raises(DataError, match="RBF map|finite"):
+            RbfMap.from_json(bad)
 
 
 # --- PCA projection -----------------------------------------------------------
