@@ -134,6 +134,11 @@ def _kmeans_summary(k: int, result) -> dict:
 def cmd_measure(args) -> int:
     metrics = None if args.metrics is None else _parse_list(args.metrics, "--metrics", str)
     cloud, assignment, mapping = read_cloud_csv(args.input, args.label_column)
+    if assignment is None and "label" in cloud.columns:
+        raise DataError(
+            f"{args.input} has a column named 'label', which k-means would read as a feature; "
+            "pass --label-column label to measure those labels"
+        )
     report = {
         "version": __version__,
         "command": "measure",
@@ -163,7 +168,7 @@ def cmd_measure(args) -> int:
             fa_normalized=args.fa_normalized,
             threads=args.threads,
         ).to_dict()
-        return section, section.pop("metadata")["timings_s"]
+        return section, section.pop("metadata")
 
     if args.kmeans_multi:
         ks = _parse_list(args.kmeans_multi, "--kmeans-multi", int)
@@ -172,10 +177,10 @@ def cmd_measure(args) -> int:
         runs, sums = {}, {}
         for k in ks:
             result = kmeans(cloud, k, seed=args.seed)
-            section, timings = one_run(result.assignment)
+            section, run_metadata = one_run(result.assignment)
             section["kmeans"] = _kmeans_summary(k, result)
             runs[str(k)] = section
-            metadata[f"timings_s.k={k}"] = timings
+            metadata.update({f"{key}.k={k}": value for key, value in run_metadata.items()})
             metadata[f"kmeans_inertia_history.k={k}"] = result.inertia_history
             for name, value in section["global"].items():
                 sums.setdefault(name, []).append(value)
@@ -193,10 +198,10 @@ def cmd_measure(args) -> int:
             raise DataError("no labels: pass --label-column, --kmeans or --kmeans-multi")
         if mapping is not None:
             report["label_mapping"] = mapping
-        section, timings = one_run(assignment)
+        section, run_metadata = one_run(assignment)
         report.update(section)
         report["k"] = assignment.k
-        metadata["timings_s"] = timings
+        metadata.update(run_metadata)
 
     report["metadata"] = metadata
     _write_json(args.output, report)

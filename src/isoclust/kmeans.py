@@ -136,8 +136,10 @@ def kmeans(
             )
         history.append(inertia)
 
-        new_centroids = np.zeros_like(centroids)
-        np.add.at(new_centroids, labels, data)
+        # each column summed in point order from +0.0: the same rounding as np.add.at
+        new_centroids = np.stack(
+            [np.bincount(labels, weights=data[:, j], minlength=k) for j in range(data.shape[1])], axis=1
+        )
         new_centroids /= counts[:, None]
 
         converged = np.array_equal(new_centroids, centroids)

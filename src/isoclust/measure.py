@@ -86,7 +86,9 @@ def _measure_cluster(view, names, rnd_set, fa_normalized):
     values: dict[str, float] = {}
     for name in names:
         values[name], times[name] = timed(METRICS[name].per_cluster, cluster)
-    return values, times
+    # only the clipping counts outlive the call: a summary can hold an n x n eigenbasis
+    clipped = (0, 0.0) if summary is None else (summary.clipped, summary.clipped_largest)
+    return values, times, clipped
 
 
 def run_measure(
@@ -105,7 +107,11 @@ def run_measure(
     listed in ``skipped`` when the metrics are defaulted and raise a
     ``DataError`` when requested explicitly; a metric listed twice is a
     ``DataError``.  Wall-clock seconds per computed metric, summed over
-    clusters, plus ``spectral_summary``, are in ``metadata["timings_s"]``.
+    clusters, plus ``spectral_summary``, are in ``metadata["timings_s"]``;
+    ``metadata["clipped_eigenvalues"]`` holds the ``count`` of negative
+    round-off eigenvalues clamped to 0, summed over the clusters' spectral
+    summaries, and the ``largest`` magnitude among them (0 and 0.0 when
+    no spectral metric is selected).
     Values are independent of the thread count.  A value outside its
     documented bound raises ``NumericError``.
     """
@@ -132,14 +138,15 @@ def run_measure(
     per_cluster: dict[str, list[float]] = {"size": [float(s) for s in sizes]}
     overall: dict[str, float] = {}
     timings: dict[str, float] = {}
-    for _, times in results:
+    for _, times, _ in results:
         for key, seconds in times.items():
             timings[key] = timings.get(key, 0.0) + seconds
     for name in names:
-        per_cluster[name] = [values[name] for values, _ in results]
+        per_cluster[name] = [values[name] for values, _, _ in results]
         if METRICS[name].global_name:
             overall[METRICS[name].global_name] = size_weighted_mean(per_cluster[name], sizes)
 
+    clipped = [c for _, _, c in results]
     skipped: dict[str, str] = {}
     for name in (m for m in selected if METRICS[m].of_clustering):
         try:
@@ -154,5 +161,11 @@ def run_measure(
         overall=overall,
         degenerate=[v.cluster_id for v in views if v.degenerate],
         skipped=skipped,
-        metadata={"timings_s": timings},
+        metadata={
+            "timings_s": timings,
+            "clipped_eigenvalues": {
+                "count": sum(count for count, _ in clipped),
+                "largest": max(largest for _, largest in clipped),
+            },
+        },
     )

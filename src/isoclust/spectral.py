@@ -33,6 +33,10 @@ class SpectralSummary:
     ----------
     eigenvalues : ndarray, shape (n,)
         Scatter matrix eigenvalues, nonincreasing, negatives clamped to 0.
+    clipped : int
+        How many eigenvalues were negative (round-off) and clamped to 0.
+    clipped_largest : float
+        The largest magnitude among them; 0.0 when none was clamped.
     lambdas : ndarray, shape (n,)
         Eigenvalues normalized to sum to 1.  Uniform (1/n) for a
         degenerate cluster.
@@ -46,7 +50,11 @@ class SpectralSummary:
     """
 
     def __init__(self, eigenvalues, degenerate, _centered=None, _vectors=None):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+        raw = np.asarray(eigenvalues, dtype=np.float64)
+        negative = raw[raw < 0.0]
+        self.clipped = int(negative.size)
+        self.clipped_largest = float(-negative.min()) if negative.size else 0.0
+        self.eigenvalues = np.clip(raw, 0.0, None)
         self.degenerate = bool(degenerate)
         n = self.eigenvalues.size
         total = self.eigenvalues.sum()
@@ -84,12 +92,12 @@ def spectral_summary(view: ClusterView) -> SpectralSummary:
     centered = view.points - view.centroid
     if n <= view.size:
         vals, vecs = _scatter_eigh(centered)
-        return SpectralSummary(np.clip(vals, 0.0, None), False, _vectors=vecs)
+        return SpectralSummary(vals, False, _vectors=vecs)
     # High-dimensional case: the Gram matrix carries the nonzero spectrum.
     gram = centered @ centered.T
     vals = np.linalg.eigvalsh(gram)
     eig = np.zeros(n)
-    eig[: view.size] = np.clip(vals[::-1], 0.0, None)
+    eig[: view.size] = vals[::-1]
     return SpectralSummary(eig, False, _centered=centered)
 
 

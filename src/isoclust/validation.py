@@ -2,8 +2,10 @@
 isotropy measures.  Definitions follow the standard literature forms;
 edge behavior is pinned down explicitly (singleton silhouette is 0,
 coincident centroids and zero dispersion are errors).  Silhouette and
-Calinski-Harabasz read one cluster-ordered gather of the member rows;
-silhouette reduces its distance matrix to per-cluster sums per point.
+Calinski-Harabasz read one cluster-ordered gather of the member rows.
+Silhouette reduces the pairwise distances to per-cluster sums per
+point, filled one block of B rows at a time, so it holds O(N*B)
+distances for N points, not the N x N matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .core import ClusterView, DataError, NumericError
+
+# Byte budget of one silhouette distance block: B = _BLOCK_BYTES // (8 * N)
+# rows against all N points, at least one row.
+_BLOCK_BYTES = 16 * 2**20
 
 
 def mean_dist_to_centroid(view: ClusterView) -> float:
@@ -49,17 +55,28 @@ def silhouette(views: list[ClusterView]) -> float:
     members, b = smallest mean distance to the members of any other
     cluster, s = (b - a) / max(a, b).  Points in singleton clusters
     score 0.  A distance that overflows float64 is a ``NumericError``.
+
+    The N x N distance matrix is never held: each block of B rows is
+    measured against all N points and reduced to its per-cluster sums,
+    so memory is O(N*B), with B set so a block fits in 16 MiB.  Every
+    pair is computed on its own and every sum runs over the same values
+    in the same order as over the full matrix, so the value is exactly
+    the full-matrix one.
     """
     data, starts = _stack(views)
-    dists = cdist(data, data)
-    if not np.isfinite(dists.max()):
-        raise NumericError("silhouette pairwise distance overflows float64")
-
+    n = len(data)
+    step = max(1, _BLOCK_BYTES // (8 * n))
     # sums[p, j]: total distance from point p to the members of cluster j
-    sums = np.stack([dists[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])], axis=1)
+    sums = np.empty((n, len(views)))
+    for r0 in range(0, n, step):
+        dists = cdist(data[r0 : r0 + step], data)
+        if not np.isfinite(dists.max()):
+            raise NumericError("silhouette pairwise distance overflows float64")
+        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            sums[r0 : r0 + step, j] = dists[:, lo:hi].sum(axis=1)
     sizes = np.diff(starts)
     own = np.repeat(np.arange(len(views)), sizes)
-    rows = np.arange(len(data))
+    rows = np.arange(n)
     a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
     sums[rows, own] = np.inf  # b ranges over the other clusters only
     b = (sums / sizes).min(axis=1)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +37,7 @@ def cross_csv(tmp_path):
     )
 
 
-@pytest.fixture
-def blobs_csv(tmp_path):
+def write_blobs(path, labelled: bool) -> str:
     rng = np.random.default_rng(0)
     data = np.vstack(
         [
@@ -44,10 +46,20 @@ def blobs_csv(tmp_path):
             rng.normal(size=(25, 3)) + [0, 15, 0],
         ]
     )
-    labels = np.repeat([0, 1, 2], 25)
-    path = tmp_path / "blobs.csv"
+    labels = np.repeat([0, 1, 2], 25) if labelled else None
     write_cloud_csv(path, PointCloud(data, columns=["a", "b", "c"]), labels=labels)
     return str(path)
+
+
+@pytest.fixture
+def blobs_csv(tmp_path):
+    return write_blobs(tmp_path / "blobs.csv", labelled=True)
+
+
+@pytest.fixture
+def blobs_features_csv(tmp_path):
+    # the blobs without their label column, for k-means to cluster
+    return write_blobs(tmp_path / "blobs_features.csv", labelled=False)
 
 
 # --- CSV I/O ------------------------------------------------------------------
@@ -157,22 +169,23 @@ def test_measure_thread_count_does_not_change_values(blobs_csv):
         run_measure(cloud, assignment, threads=0)
 
 
-def test_measure_kmeans(blobs_csv, tmp_path):
+def test_measure_kmeans(blobs_features_csv, tmp_path):
     out = tmp_path / "report.json"
-    assert main(["measure", "--input", blobs_csv, "--kmeans", "3", "--output", str(out)]) == 0
+    assert main(["measure", "--input", blobs_features_csv, "--kmeans", "3", "--output", str(out)]) == 0
     report = load_json(out)
     assert report["k"] == 3
+    assert report["n_dims"] == 3
     assert report["kmeans"]["k"] == 3
     assert report["kmeans"]["inertia"] > 0
     assert "label_mapping" not in report
     history = report["metadata"]["kmeans_inertia_history"]
-    assert history == kmeans(read_cloud_csv(blobs_csv)[0], 3, seed=0).inertia_history
+    assert history == kmeans(read_cloud_csv(blobs_features_csv)[0], 3, seed=0).inertia_history
     assert len(history) == report["kmeans"]["iterations"]
 
 
-def test_measure_kmeans_multi(blobs_csv, tmp_path):
+def test_measure_kmeans_multi(blobs_features_csv, tmp_path):
     out = tmp_path / "report.json"
-    assert main(["measure", "--input", blobs_csv, "--kmeans-multi", "2,3", "--output", str(out)]) == 0
+    assert main(["measure", "--input", blobs_features_csv, "--kmeans-multi", "2,3", "--output", str(out)]) == 0
     report = load_json(out)
     assert set(report["multi"].keys()) == {"2", "3"}
     for k in ("2", "3"):
@@ -182,7 +195,8 @@ def test_measure_kmeans_multi(blobs_csv, tmp_path):
     mean_fa = (report["multi"]["2"]["global"]["fa_g"] + report["multi"]["3"]["global"]["fa_g"]) / 2
     assert report["global_mean"]["fa_g"] == pytest.approx(mean_fa, abs=1e-15)
     assert "timings_s.k=2" in report["metadata"] and "timings_s.k=3" in report["metadata"]
-    cloud = read_cloud_csv(blobs_csv)[0]
+    assert report["metadata"]["clipped_eigenvalues.k=2"].keys() == {"count", "largest"}
+    cloud = read_cloud_csv(blobs_features_csv)[0]
     for k in (2, 3):
         history = report["metadata"][f"kmeans_inertia_history.k={k}"]
         assert history == kmeans(cloud, k, seed=0).inertia_history
@@ -288,6 +302,12 @@ def test_data_errors_exit_3(tmp_path, capsys):
         assert main(["measure", "--input", labelled, "--label-column", "label", "--metrics", empty,
                      "--output", report]) == 3
         assert "--metrics got an empty list" in capsys.readouterr().err
+    # k-means would cluster on a label column as if it were a feature
+    numeric_labels = write_text(tmp_path / "numeric_labels.csv",
+                                "a,b,label\n0,0,0\n0,1,0\n1,0,0\n5,5,1\n5,6,1\n6,5,1\n")
+    for flag, k in (("--kmeans", "2"), ("--kmeans-multi", "2,3")):
+        assert main(["measure", "--input", numeric_labels, flag, k, "--metrics", "fa", "--output", report]) == 3
+        assert "pass --label-column label" in capsys.readouterr().err
     assert main(["mp", "--points", "10", "--dims", "10", "--empirical", "-1",
                  "--output", str(tmp_path / "mp.csv")]) == 3
     # a negative seed is rejected whether or not it would reach a generator
@@ -521,6 +541,34 @@ def test_generate_rejections(tmp_path, capsys):
     assert main(["generate", "--kind", "ring",
                  "--points", "10", "--output", str(tmp_path / "x.csv")]) == 2  # argparse choices
     capsys.readouterr()
+
+
+# run measure in a fresh interpreter and print its exit status and its own
+# peak resident set (VmHWM, kB); a child's getrusage can inherit the parent's peak
+_MEASURE_HWM = """
+import sys
+from isoclust.cli import main
+status = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(status, hwm.split()[1])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_measure_silhouette_memory_stays_bounded(tmp_path):
+    # 12,000 points: a full silhouette distance matrix alone would be 1.15 GB
+    src = tmp_path / "big.csv"
+    write_cloud_csv(src, PointCloud(np.random.default_rng(3).normal(size=(12_000, 3))))
+    argv = ["measure", "--input", str(src), "--kmeans", "2", "--metrics", "silhouette",
+            "--output", str(tmp_path / "r.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _MEASURE_HWM, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    status, hwm_kb = proc.stdout.split()
+    assert status == "0", proc.stderr
+    assert int(hwm_kb) / 1024 < 400
 
 
 def test_cluster_overflow_exits_4(tmp_path, capsys):

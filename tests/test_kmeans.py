@@ -216,6 +216,16 @@ def test_seeding_overflow_raises_without_warning():
                 assert np.isfinite(result.inertia)
 
 
+def test_centroid_sum_overflow_raises_without_warning():
+    # three coincident points at 0.6e308 sum past float64: the centroid
+    # becomes inf, and the next iteration's inertia check catches it
+    cloud = cloud_of([[0.6e308]] * 3 + [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="inertia inf is not finite at iteration 2"):
+            kmeans(cloud, 2, init=[[0.6e308], [0.0]])
+
+
 def test_max_iter_cap():
     cloud = blob_cloud(seed=6, per=40)
     result = kmeans(cloud, 3, seed=0, max_iter=1)

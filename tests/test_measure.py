@@ -126,6 +126,23 @@ def test_timings_with_a_fake_clock(monkeypatch):
     assert [(row["mean_seconds"], row["median_seconds"]) for row in rows] == [(1.0, 1.0), (1.0, 1.0)]
 
 
+def test_clipped_eigenvalues_in_metadata():
+    # cluster 1 lies on a line in 3-D, so its scatter has round-off negatives;
+    # the cross's spectrum is exact
+    rng = np.random.default_rng(0)
+    line = rng.normal(size=(10, 1)) * rng.normal(size=(1, 3))
+    cross = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+    cloud = PointCloud(np.vstack([cross, line]))
+    assignment = ClusterAssignment([0] * 6 + [1] * 10)
+    clipped = run_measure(cloud, assignment, metrics=["fa"]).metadata["clipped_eigenvalues"]
+    assert clipped["count"] > 0 and 0.0 < clipped["largest"] < 1e-12
+    none = {"count": 0, "largest": 0.0}
+    exact = run_measure(PointCloud(cross), ClusterAssignment([0] * 6), metrics=["fa", "i_vec"])
+    assert exact.metadata["clipped_eigenvalues"] == none
+    # a report without spectral metrics clips nothing
+    assert run_measure(cloud, assignment, metrics=["silhouette"]).metadata["clipped_eigenvalues"] == none
+
+
 def test_skipped_index_has_no_timing():
     cloud = PointCloud(np.array(CROSS, dtype=float))
     report = run_measure(cloud, ClusterAssignment([0, 0, 0, 0]))

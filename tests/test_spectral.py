@@ -86,6 +86,22 @@ def test_single_point_degenerate():
         np.testing.assert_array_equal(s.vectors, np.eye(n))
 
 
+def test_clipped_eigenvalues_are_counted():
+    # points on a line in 3-D (scatter side) and 5 points in 8-D (Gram side):
+    # the zero eigenvalues come out of the solver as round-off of either sign
+    rng = np.random.default_rng(0)
+    line = rng.normal(size=(10, 1)) * rng.normal(size=(1, 3))
+    wide = np.random.default_rng(0).normal(size=(5, 8))
+    # (points, eigenvalues that are zero in exact arithmetic and may come out negative)
+    for pts, null in ((line, 2), (wide, 1)):
+        s = spectral_summary(view_of(pts))
+        assert 0 < s.clipped <= null
+        assert 0.0 < s.clipped_largest < 1e-12 * s.eigenvalues[0]
+        assert np.all(s.eigenvalues >= 0)
+    exact = spectral_summary(view_of(CROSS))
+    assert exact.clipped == 0 and exact.clipped_largest == 0.0
+
+
 def test_var_lambda_hand_values():
     assert var_lambda(np.array([0.6, 0.3, 0.1])) == pytest.approx(0.042222222222222, abs=1e-12)
     assert var_lambda(np.array([1.0, 0.0])) == pytest.approx(0.25, abs=1e-15)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from isoclust import (
     ClusterAssignment,
     ClusterView,
     DataError,
+    NumericError,
     PointCloud,
     calinski_harabasz,
     cluster_size_variance,
@@ -16,6 +20,7 @@ from isoclust import (
     silhouette,
     split_clusters,
 )
+from isoclust import validation
 
 
 def make_views(points, labels):
@@ -131,6 +136,71 @@ def test_silhouette_matches_reference():
         labels = np.repeat(np.arange(3), sizes)
         views = make_views(data, labels)
         assert silhouette(views) == pytest.approx(silhouette_ref(data, labels), abs=1e-10)
+
+
+def silhouette_full_matrix(views):
+    """Silhouette from the whole N x N distance matrix, with the same
+    per-cluster slice sums and score rules as the blocked computation."""
+    data, starts = validation._stack(views)
+    dists = cdist(data, data)
+    sums = np.stack([dists[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])], axis=1)
+    sizes = np.diff(starts)
+    own = np.repeat(np.arange(len(views)), sizes)
+    rows = np.arange(len(data))
+    a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
+    sums[rows, own] = np.inf
+    b = (sums / sizes).min(axis=1)
+    denom = np.maximum(b, a)
+    scored = (sizes[own] > 1) & (denom > 0)
+    return float(np.where(scored, (b - a) / np.where(scored, denom, 1.0), 0.0).mean())
+
+
+@st.composite
+def float_clusterings(draw):
+    """Real-valued points at a drawn scale in 2-6 clusters, singletons allowed."""
+    dims = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 40))
+    coords = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.lists(coords, min_size=dims, max_size=dims), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = draw(st.permutations(list(range(k)) + extra))
+    return make_views(np.asarray(points) * scale, labels)
+
+
+@given(float_clusterings(), st.integers(1, 5))
+def test_blocked_silhouette_is_bit_identical_to_the_full_matrix(views, rows):
+    # each block of `rows` rows sums the same values in the same order as
+    # the full matrix's rows, so the value is exact, not merely close
+    n = sum(v.size for v in views)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_BLOCK_BYTES", 8 * n * rows)
+        assert silhouette(views) == silhouette_full_matrix(views)
+
+
+def test_silhouette_overflow_in_a_late_block_raises():
+    # only the last two rows in cluster order are 1.8e154 apart, a distance
+    # whose square overflows; every earlier block is finite
+    views = make_views([[0, 0], [0, 1], [1, 0], [5, 5], [9e153, 0], [-9e153, 1]], [0, 0, 0, 1, 1, 1])
+    for rows in (1, 2, 4, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validation, "_BLOCK_BYTES", 8 * 6 * rows)
+            with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
+                silhouette(views)
+
+
+def test_silhouette_memory_is_bounded_by_the_block():
+    # 6,000 points: the full distance matrix alone would be 288 MB
+    rng = np.random.default_rng(9)
+    views = make_views(rng.normal(size=(6000, 3)), rng.integers(0, 4, size=6000))
+    tracemalloc.start()
+    try:
+        silhouette(views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_silhouette_needs_two_clusters():
