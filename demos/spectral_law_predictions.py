@@ -11,33 +11,15 @@ measurement side by side while n grows past T.
 
 import numpy as np
 
-from isoclust import (
-    ClusterView,
-    MpParams,
-    expected_fa,
-    expected_var_lambda,
-    fractional_anisotropy,
-    gaussian_cluster,
-    mp_pdf,
-    mp_support,
-    spectral_summary,
-    var_lambda,
-)
+from isoclust import MpParams, mp_pdf, mp_support, run_mp_rows
 
-T = 100
-print(f"clusters of T = {T} points, 8 sampled per row")
+rows = run_mp_rows(points=100, dims=[50, 100, 200, 400, 800, 1600], sigma2=1.0, mu=0.0, empirical=8, seed=0)
+print("clusters of T = 100 points, 8 sampled per row")
 print(f"{'n':>6} {'fa pred':>9} {'fa meas':>9} {'var pred':>10} {'var meas':>10}")
-for n in (50, 100, 200, 400, 800, 1600):
-    params = MpParams(points=T, dims=n)
-    fas, variances = [], []
-    for i in range(8):
-        cloud = gaussian_cluster(n, T, seed=n + i)
-        summary = spectral_summary(ClusterView(cloud, np.arange(T)))
-        fas.append(fractional_anisotropy(summary))
-        variances.append(float(var_lambda(summary)))
+for row in rows:
     print(
-        f"{n:>6} {expected_fa(params):>9.4f} {np.mean(fas):>9.4f} "
-        f"{expected_var_lambda(params):>10.2e} {np.mean(variances):>10.2e}"
+        f"{row['dims']:>6} {row['expected_fa']:>9.4f} {row['measured_fa_mean']:>9.4f} "
+        f"{row['expected_var_lambda']:>10.2e} {row['measured_var_lambda_mean']:>10.2e}"
     )
 
 # FA climbs toward 1 as n outruns T (the cluster cannot fill the

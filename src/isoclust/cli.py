@@ -17,8 +17,11 @@ import argparse
 import csv
 import json
 import sys
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .core import ClusterAssignment, DataError, NumericError, PointCloud
@@ -49,7 +52,8 @@ def read_cloud_csv(path, label_column: str | None = None):
 
     All columns except the label column must be numeric; parse
     failures are reported with their row number.  A header that names
-    a column twice is rejected.
+    a column twice is rejected.  Reading holds about 1x the float data:
+    values go into one buffer that becomes the cloud's array.
     """
     path = Path(path)
     if not path.exists():
@@ -57,10 +61,9 @@ def read_cloud_csv(path, label_column: str | None = None):
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with _utf8_input(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if len(set(header)) != len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise DataError(f"{path}: the header names {repeated} more than once")
@@ -69,45 +72,39 @@ def read_cloud_csv(path, label_column: str | None = None):
             if label_column not in header:
                 raise DataError(f"{path}: no column named {label_column!r}")
             label_idx = header.index(label_column)
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
+        columns = [name for i, name in enumerate(header) if i != label_idx]
+        if not columns:
             raise DataError(f"{path}: no feature columns")
-        rows, raw_labels = [], []
+        values = array("d")
+        labels, mapping = [], {}  # mapping: label -> id in order of first appearance
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path} row {rownum}: {len(row)} fields, header has {len(header)}")
+            if label_idx is not None:
+                labels.append(mapping.setdefault(row.pop(label_idx), len(mapping)))
             try:
-                rows.append([float(row[i]) for i in feat_idx])
+                values.extend(map(float, row))
             except ValueError as exc:
                 raise DataError(f"{path} row {rownum}: {exc}") from None
-            if label_idx is not None:
-                raw_labels.append(row[label_idx])
-    if not rows:
+    if not values:
         raise DataError(f"{path}: no data rows")
-    cloud = PointCloud(rows, columns=[header[i] for i in feat_idx])
+    cloud = PointCloud(np.frombuffer(values).reshape(-1, len(columns)), columns=columns)
     if label_idx is None:
         return cloud, None, None
-    mapping: dict[str, int] = {}
-    labels = []
-    for value in raw_labels:
-        if value not in mapping:
-            mapping[value] = len(mapping)
-        labels.append(mapping[value])
     return cloud, ClusterAssignment(labels), mapping
 
 
 def write_cloud_csv(path, cloud: PointCloud, labels=None):
     columns = cloud.columns or [f"x{i}" for i in range(cloud.n_dims)]
+    rows = map(np.ndarray.tolist, cloud.data)  # csv writes a float as its repr: exact
+    if labels is not None:
+        rows = ([*row, int(label)] for row, label in zip(rows, labels, strict=True))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(columns) + (["label"] if labels is not None else []))
-        for i, row in enumerate(cloud.data):
-            out = [repr(float(x)) for x in row]
-            if labels is not None:
-                out.append(int(labels[i]))
-            writer.writerow(out)
+        writer.writerows(rows)
 
 
 def _write_rows_csv(path, rows):
@@ -170,7 +167,7 @@ def cmd_measure(args) -> int:
         ).to_dict()
         return section, section.pop("metadata")
 
-    if args.kmeans_multi:
+    if args.kmeans_multi is not None:
         ks = _parse_list(args.kmeans_multi, "--kmeans-multi", int)
         if len(set(ks)) != len(ks):
             raise DataError(f"--kmeans-multi lists a k twice: {args.kmeans_multi!r}")
@@ -189,13 +186,11 @@ def cmd_measure(args) -> int:
             name: sum(vals) / len(vals) for name, vals in sums.items() if len(vals) == len(ks)
         }
     else:
-        if args.kmeans:
+        if args.kmeans is not None:
             result = kmeans(cloud, args.kmeans, seed=args.seed)
             assignment = result.assignment
             report["kmeans"] = _kmeans_summary(args.kmeans, result)
             metadata["kmeans_inertia_history"] = result.inertia_history
-        elif assignment is None:
-            raise DataError("no labels: pass --label-column, --kmeans or --kmeans-multi")
         if mapping is not None:
             report["label_mapping"] = mapping
         section, run_metadata = one_run(assignment)
@@ -234,7 +229,7 @@ def cmd_transform(args) -> int:
     if args.minmax is not None:
         lo, hi = _parse_float_pair(args.minmax, "--minmax")
         cloud, _ = minmax_scale(cloud, lo, hi)
-    if args.rbf_map:
+    if args.rbf_map is not None:
         if args.components is not None or args.gamma is not None:
             raise DataError("--rbf-map reuses a saved map; omit --components and --gamma")
         with _utf8_input(args.rbf_map):
@@ -248,7 +243,7 @@ def cmd_transform(args) -> int:
         Path(str(args.output) + ".rbf.json").write_text(rbf.to_json() + "\n", encoding="utf-8")
     elif args.gamma is not None:
         raise DataError("--gamma requires --components")
-    if args.minmax is None and not args.rbf_map and args.components is None:
+    if args.minmax is None and args.rbf_map is None and args.components is None:
         raise DataError("nothing to do: pass --minmax and/or --components/--rbf-map")
     write_cloud_csv(args.output, cloud)
     return 0
@@ -290,7 +285,7 @@ def cmd_cluster(args) -> int:
         raise DataError(f"{args.input} has a column named 'label'; cluster would write a second one")
     result = kmeans(cloud, args.kmeans, seed=args.seed)
     write_cloud_csv(args.output, cloud, labels=result.assignment.labels)
-    sidecar = args.centroids or (str(args.output) + ".centroids.json")
+    sidecar = str(args.output) + ".centroids.json" if args.centroids is None else args.centroids
     _write_json(
         sidecar,
         {
@@ -430,6 +425,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise DataError(f"--seed must be >= 0, got {args.seed}")
+        for flag in ("input", "output", "rbf_map", "centroids"):
+            if getattr(args, flag, None) == "":
+                raise DataError(f"--{flag.replace('_', '-')} got an empty path")
         return args.func(args)
     except DataError as exc:
         print(f"isoclust: data error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,35 @@ def test_read_csv_errors(tmp_path):
     for label_column in (None, "label"):
         with pytest.raises(DataError, match=r"names \['label'\] more than once"):
             read_cloud_csv(repeated, label_column=label_column)
+    with pytest.raises(DataError, match="no feature columns"):
+        read_cloud_csv(write_text(tmp_path / "only_labels.csv", "label\na\nb\n"), label_column="label")
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    cloud, _, _ = read_cloud_csv(write_text(tmp_path / "gaps.csv", "x,y\n\n1,2\n\n\n3,4\n"))
+    assert cloud.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    # rows are numbered as lines of the file, blank ones included
+    with pytest.raises(DataError, match="gaps_bad.csv row 5: could not convert string to float: 'oops'"):
+        read_cloud_csv(write_text(tmp_path / "gaps_bad.csv", "x,y\n1,2\n\n\n3,oops\n"))
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["features", "label_column"])
+def test_read_csv_memory_is_about_the_float_data(tmp_path, labelled):
+    # 20,000 x 50 floats are 7.6 MiB; a list of Python floats per row took 40.7 MiB
+    data = np.random.default_rng(5).normal(size=(20_000, 50))
+    labels = np.arange(20_000) % 7 if labelled else None
+    path = tmp_path / "wide.csv"
+    write_cloud_csv(path, PointCloud(data), labels=labels)
+    tracemalloc.start()
+    try:
+        cloud, assignment, _ = read_cloud_csv(path, "label" if labelled else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(cloud.data, data)
+    if labelled:
+        assert assignment.labels.tolist() == labels.tolist()
+    assert peak / 2**20 < 12
 
 
 # --- measure ------------------------------------------------------------------
@@ -302,6 +332,26 @@ def test_data_errors_exit_3(tmp_path, capsys):
         assert main(["measure", "--input", labelled, "--label-column", "label", "--metrics", empty,
                      "--output", report]) == 3
         assert "--metrics got an empty list" in capsys.readouterr().err
+    # a flag given an empty or zero value is given, not absent
+    for argv, message in (
+        (["measure", "--input", small, "--kmeans", "0", "--output", report], "k must be >= 1, got 0"),
+        (["measure", "--input", small, "--kmeans-multi", "", "--output", report], "--kmeans-multi got an empty list"),
+        (["transform", "--input", small, "--minmax", "--rbf-map", "", "--output", str(tmp_path / "t.csv")],
+         "--rbf-map got an empty path"),
+        (["cluster", "--input", small, "--kmeans", "2", "--centroids", "", "--output", str(tmp_path / "c.csv")],
+         "--centroids got an empty path"),
+        (["sweep", "--dims", "10,x", "--output", str(tmp_path / "sweep.csv")],
+         "--dims expects comma-separated integers, got '10,x'"),
+        (["transform", "--input", small, "--minmax", "1", "--output", str(tmp_path / "t.csv")],
+         "--minmax expects LO:HI, got '1'"),
+        (["transform", "--input", small, "--minmax", "a:b", "--output", str(tmp_path / "t.csv")],
+         "--minmax expects numbers, got 'a:b'"),
+        (["measure", "--input", small, "--kmeans", "2", "--output", str(tmp_path / "gone" / "r.json")],
+         "No such file or directory"),
+    ):
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "gone").exists()
     # k-means would cluster on a label column as if it were a feature
     numeric_labels = write_text(tmp_path / "numeric_labels.csv",
                                 "a,b,label\n0,0,0\n0,1,0\n1,0,0\n5,5,1\n5,6,1\n6,5,1\n")

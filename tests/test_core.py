@@ -38,6 +38,7 @@ def test_assignment_contiguous():
     a = ClusterAssignment([0, 1, 1, 2, 0])
     assert a.k == 3
     assert a.sizes().tolist() == [2, 2, 1]
+    assert ClusterAssignment([0.0, 1.0, 1.0]).labels.tolist() == [0, 1, 1]
 
 
 def test_assignment_rejects_gaps_and_negatives():
@@ -45,8 +46,9 @@ def test_assignment_rejects_gaps_and_negatives():
         ClusterAssignment([0, 2, 2])
     with pytest.raises(DataError):
         ClusterAssignment([-1, 0, 1])
-    with pytest.raises(DataError):
-        ClusterAssignment([0.5, 1.0])
+    for labels in ([0.5], [0.5, 1.0]):
+        with pytest.raises(DataError, match="labels must be integers"):
+            ClusterAssignment(labels)
     with pytest.raises(DataError):
         ClusterAssignment([])
 
@@ -71,6 +73,15 @@ def test_views_reference_parent_rows():
     view = ClusterView(cloud, [0, 2])
     cloud.data[2, 0] = 5.0
     assert view.points[1, 0] == 5.0
+
+
+def test_view_rejects_empty_and_out_of_range_indices():
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(DataError, match="at least one member"):
+        ClusterView(cloud, [])
+    for indices in ([0, 3], [-1, 1]):
+        with pytest.raises(DataError, match="out-of-range member index for cloud of 3 points"):
+            ClusterView(cloud, indices)
 
 
 def test_center_and_scale_hand_case():

@@ -143,6 +143,12 @@ def test_fa_one_hot_caps():
         assert fractional_anisotropy(lam, normalized=True) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fa_normalized_one_dimensional_cluster_is_zero():
+    # one eigenvalue: sqrt(n / (n - 1)) has no value at n = 1
+    summary = spectral_summary(view_of([[0.0], [1.0], [3.0]]))
+    assert fractional_anisotropy(summary, normalized=True) == 0.0
+
+
 def test_fa_bounds_random():
     rng = np.random.default_rng(21)
     for _ in range(200):
