@@ -8,7 +8,9 @@ eigendecompositions round differently across thread counts);
 wall-clock timings, which vary, live in a report's "metadata" block,
 the one part excluded from that guarantee.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
+5 out of memory.  Every command checks its output paths, and measure
+its --kmeans-multi list, before it reads any input.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def _utf8_input(path):
 
 
 def read_cloud_csv(path, label_column: str | None = None):
-    """Read a CSV with a header row into (cloud, labels_or_None).
+    """Read a CSV with a header row into (cloud, assignment, mapping).
+
+    Without ``label_column`` the assignment and mapping are None.
 
     All columns except the label column must be numeric; parse
     failures are reported with their row number.  A header that names
@@ -130,12 +134,24 @@ def _kmeans_summary(k: int, result) -> dict:
 
 def cmd_measure(args) -> int:
     metrics = None if args.metrics is None else _parse_list(args.metrics, "--metrics", str)
+    multi = args.kmeans_multi is not None
+    ks = [args.kmeans]  # None: the labels read from --label-column
+    if multi:
+        ks = _parse_list(args.kmeans_multi, "--kmeans-multi", int)
+        if len(set(ks)) != len(ks):
+            raise DataError(f"--kmeans-multi lists a k twice: {args.kmeans_multi!r}")
     cloud, assignment, mapping = read_cloud_csv(args.input, args.label_column)
     if assignment is None and "label" in cloud.columns:
         raise DataError(
             f"{args.input} has a column named 'label', which k-means would read as a feature; "
             "pass --label-column label to measure those labels"
         )
+    options = {
+        "vectors": args.vectors,
+        "seed": args.seed,
+        "fa_normalized": args.fa_normalized,
+        "threads": args.threads,
+    }
     report = {
         "version": __version__,
         "command": "measure",
@@ -145,59 +161,35 @@ def cmd_measure(args) -> int:
             "kmeans": args.kmeans,
             "kmeans_multi": args.kmeans_multi,
             "metrics": metrics or list(METRICS),
-            "vectors": args.vectors,
-            "seed": args.seed,
-            "fa_normalized": args.fa_normalized,
-            "threads": args.threads,
+            **options,
         },
         "n_points": cloud.n_points,
         "n_dims": cloud.n_dims,
     }
-    metadata: dict = {}
-
-    def one_run(assignment_):
-        section = run_measure(
-            cloud,
-            assignment_,
-            metrics=metrics,
-            vectors=args.vectors,
-            seed=args.seed,
-            fa_normalized=args.fa_normalized,
-            threads=args.threads,
-        ).to_dict()
-        return section, section.pop("metadata")
-
-    if args.kmeans_multi is not None:
-        ks = _parse_list(args.kmeans_multi, "--kmeans-multi", int)
-        if len(set(ks)) != len(ks):
-            raise DataError(f"--kmeans-multi lists a k twice: {args.kmeans_multi!r}")
-        runs, sums = {}, {}
-        for k in ks:
+    runs, metadata = {}, {}
+    for k in ks:
+        section, run_metadata = {}, {}
+        if k is not None:
             result = kmeans(cloud, k, seed=args.seed)
-            section, run_metadata = one_run(result.assignment)
+            assignment = result.assignment
             section["kmeans"] = _kmeans_summary(k, result)
-            runs[str(k)] = section
-            metadata.update({f"{key}.k={k}": value for key, value in run_metadata.items()})
-            metadata[f"kmeans_inertia_history.k={k}"] = result.inertia_history
-            for name, value in section["global"].items():
-                sums.setdefault(name, []).append(value)
+            run_metadata["kmeans_inertia_history"] = result.inertia_history
+        section.update(run_measure(cloud, assignment, metrics=metrics, **options).to_dict())
+        run_metadata.update(section.pop("metadata"))
+        suffix = f".k={k}" if multi else ""
+        metadata.update({key + suffix: value for key, value in run_metadata.items()})
+        runs[str(k)] = section
+    if multi:
         report["multi"] = runs
+        shared = set.intersection(*(set(run["global"]) for run in runs.values()))
         report["global_mean"] = {
-            name: sum(vals) / len(vals) for name, vals in sums.items() if len(vals) == len(ks)
+            name: sum(run["global"][name] for run in runs.values()) / len(ks) for name in shared
         }
     else:
-        if args.kmeans is not None:
-            result = kmeans(cloud, args.kmeans, seed=args.seed)
-            assignment = result.assignment
-            report["kmeans"] = _kmeans_summary(args.kmeans, result)
-            metadata["kmeans_inertia_history"] = result.inertia_history
-        if mapping is not None:
-            report["label_mapping"] = mapping
-        section, run_metadata = one_run(assignment)
         report.update(section)
         report["k"] = assignment.k
-        metadata.update(run_metadata)
-
+        if mapping is not None:
+            report["label_mapping"] = mapping
     report["metadata"] = metadata
     _write_json(args.output, report)
     return 0
@@ -266,15 +258,13 @@ def cmd_generate(args) -> int:
     elif args.kind == "gaussian":
         dims = 2 if args.dims is None else args.dims
         cloud = gaussian_cluster(dims, args.points, seed=args.seed, **given)
-    elif args.kind == "anisotropic":
+    else:  # anisotropic
         if not args.stds:
             raise DataError("anisotropic clusters need --stds (comma-separated, one per axis)")
         stds = _parse_list(args.stds, "--stds", float)
         if args.dims not in (None, len(stds)):
             raise DataError(f"anisotropic clusters have one axis per --stds value ({len(stds)}); omit --dims")
         cloud = anisotropic_gaussian(len(stds), args.points, stds, seed=args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        raise DataError(f"unknown kind {args.kind!r}")
     write_cloud_csv(args.output, cloud)
     return 0
 
@@ -428,6 +418,13 @@ def main(argv=None) -> int:
         for flag in ("input", "output", "rbf_map", "centroids"):
             if getattr(args, flag, None) == "":
                 raise DataError(f"--{flag.replace('_', '-')} got an empty path")
+        # an output that cannot be opened is found before the work, not after it
+        for flag in ("output", "centroids"):
+            path = getattr(args, flag, None)
+            if path is not None and Path(path).is_dir():
+                raise DataError(f"--{flag} {path}: Is a directory")
+            if path is not None and not Path(path).parent.is_dir():
+                raise DataError(f"--{flag} {path}: No such file or directory")
         return args.func(args)
     except DataError as exc:
         print(f"isoclust: data error: {exc}", file=sys.stderr)
@@ -435,6 +432,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"isoclust: numeric error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"isoclust: out of memory: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"isoclust: {exc}", file=sys.stderr)
         return 3

@@ -146,8 +146,7 @@ def fractional_anisotropy(s, normalized: bool = False) -> float:
     e2 = float((lam**2).mean())
     # Var / E2 rather than 1 - E^2 / E2: same value, but near-isotropic
     # spectra would otherwise lose ~8 digits to cancellation
-    var = float(((lam - lam.mean()) ** 2).mean())
-    raw = float(np.sqrt(min(1.0, var / e2)))
+    raw = float(np.sqrt(min(1.0, lam.var() / e2)))
     if not normalized:
         return raw
     if n < 2:

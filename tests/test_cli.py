@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoclust import DataError, kmeans, run_sweep
+from isoclust import DataError, cli, kmeans, run_sweep
 from isoclust.cli import main, read_cloud_csv, run_measure, write_cloud_csv
 from isoclust.core import PointCloud
 
@@ -20,6 +20,11 @@ def write_text(path: Path, text: str) -> str:
 
 def load_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), **extra)
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -421,6 +426,55 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert not any((tmp_path / name).exists() for name in produced)
 
 
+def fail_if_read(*args, **kwargs):
+    raise AssertionError("the input was read")
+
+
+def test_kmeans_multi_list_is_checked_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_cloud_csv", fail_if_read)
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    for ks, message in (
+        ("2,2", "--kmeans-multi lists a k twice: '2,2'"),
+        ("2,x", "--kmeans-multi expects comma-separated integers, got '2,x'"),
+        ("", "--kmeans-multi got an empty list"),
+    ):
+        assert main(["measure", "--input", small, "--kmeans-multi", ks, "--output", str(tmp_path / "r.json")]) == 3
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+
+def test_outputs_are_checked_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_cloud_csv", fail_if_read)
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    bad_paths = ((tmp_path / "gone" / "out", "No such file or directory"), (tmp_path, "Is a directory"))
+    for argv in (
+        ["measure", "--input", small, "--kmeans", "2"],
+        ["cluster", "--input", small, "--kmeans", "2"],
+        ["transform", "--input", small, "--minmax"],
+        ["project", "--input", small],
+        ["generate", "--kind", "gaussian", "--points", "5"],
+        ["sweep", "--dims", "3", "--points", "5", "--repeats", "1", "--vectors", "10"],
+        ["mp", "--points", "10", "--dims", "10"],
+    ):
+        for path, message in bad_paths:
+            assert main([*argv, "--output", str(path)]) == 3
+            assert f"--output {path}: {message}" in capsys.readouterr().err
+    for path, message in bad_paths:
+        assert main(["cluster", "--input", small, "--kmeans", "2", "--output", str(tmp_path / "c.csv"),
+                     "--centroids", str(path)]) == 3
+        assert f"--centroids {path}: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+
+def test_cluster_writes_nothing_when_its_sidecar_directory_is_missing(tmp_path, capsys):
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    sidecar = tmp_path / "gone" / "x.json"
+    assert main(["cluster", "--input", small, "--kmeans", "2", "--centroids", str(sidecar),
+                 "--output", str(tmp_path / "c.csv")]) == 3
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+
 def test_cluster_rejects_an_input_with_a_label_column(tmp_path, capsys):
     # the appended label column would repeat the name, and a later
     # --label-column label would read the feature column instead
@@ -488,6 +542,40 @@ def test_measure_dispersion_overflow_exits_4(tmp_path, capsys, text, options, me
 def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     assert "isoclust" in capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "isoclust.cli", "--version"], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("isoclust ")
+
+
+# run main in a fresh interpreter whose address space is capped at argv[1] bytes
+_MEASURE_LIMITED = """
+import resource
+import sys
+from isoclust.cli import main
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_exits_5_and_writes_nothing(tmp_path):
+    # one 2,000-point cluster: i_rnd's 2,000 x 100,000 product needs 1.49 GiB
+    rows = "".join(f"{i},{i % 7},a\n" for i in range(2000))
+    src = write_text(tmp_path / "big.csv", "x,y,label\n" + rows)
+    out = tmp_path / "r.json"
+    argv = ["measure", "--input", src, "--label-column", "label", "--vectors", "100000", "--output", str(out)]
+    env = child_env(OPENBLAS_NUM_THREADS="1")
+    limited = [sys.executable, "-c", _MEASURE_LIMITED, str(1 << 30), *argv]
+    proc = subprocess.run([*limited, "--metrics", "i_rnd"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("isoclust: out of memory: ")
+    assert not out.exists()
+    # the same input and limit without the probe runs
+    proc = subprocess.run([*limited, "--metrics", "fa"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert load_json(out)["per_cluster"]["size"] == [2000.0]
 
 
 # --- transform ----------------------------------------------------------------
@@ -612,8 +700,7 @@ def test_measure_silhouette_memory_stays_bounded(tmp_path):
     write_cloud_csv(src, PointCloud(np.random.default_rng(3).normal(size=(12_000, 3))))
     argv = ["measure", "--input", str(src), "--kmeans", "2", "--metrics", "silhouette",
             "--output", str(tmp_path / "r.json")]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", _MEASURE_HWM, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _MEASURE_HWM, *argv], env=child_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     status, hwm_kb = proc.stdout.split()

@@ -216,6 +216,17 @@ def test_seeding_overflow_raises_without_warning():
                 assert np.isfinite(result.inertia)
 
 
+def test_seeding_falls_back_to_uniform_when_every_distance_underflows():
+    # (1e-170)^2 underflows to 0: k-means++ has no weight to draw by and draws
+    # the second centre uniformly; every point then ties to centre 0, so the
+    # empty cluster is reseeded
+    cloud = cloud_of([[0.0], [1e-170]])
+    for seed in range(6):
+        result = kmeans(cloud, 2, seed=seed)
+        np.testing.assert_array_equal(result.assignment.labels, [1, 0])
+        assert result.inertia == 0.0 and result.reseeded
+
+
 def test_centroid_sum_overflow_raises_without_warning():
     # three coincident points at 0.6e308 sum past float64: the centroid
     # becomes inf, and the next iteration's inertia check catches it

@@ -122,6 +122,8 @@ def test_var_lambda_rejects_unnormalized():
         var_lambda(np.array([0.5, 0.2]))
     with pytest.raises(DataError):
         var_lambda(np.array([1.5, -0.5]))
+    with pytest.raises(DataError, match="empty eigenvalue set"):
+        var_lambda(np.array([]))
 
 
 def test_fa_hand_values():
@@ -133,6 +135,11 @@ def test_fa_hand_values():
     # spectrum lands within an ulp of 0 rather than on it
     for n in (2, 3, 7):
         assert fractional_anisotropy(np.full(n, 1 / n)) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_fa_rejects_a_batch():
+    with pytest.raises(DataError, match="expects a single eigenvalue set"):
+        fractional_anisotropy(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
 
 def test_fa_one_hot_caps():
