@@ -9,8 +9,9 @@ wall-clock timings, which vary, live in a report's "metadata" block,
 the one part excluded from that guarantee.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
-5 out of memory.  Every command checks its output paths, and measure
-its --kmeans-multi list, before it reads any input.
+5 out of memory.  Every command checks its output paths (cluster's
+default sidecar too) and its flags before it reads any input.  An
+input column named `label` is rejected unless it is the --label-column.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .core import ClusterAssignment, DataError, NumericError, PointCloud
 from .kmeans import kmeans
-from .measure import METRICS, run_measure
+from .measure import METRICS, check_metrics, run_measure
 from .randmat import run_mp_rows
 from .synth import SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
 from .transforms import RbfMap, minmax_scale, pca_project, rbf_fit, rbf_transform
@@ -56,8 +57,11 @@ def read_cloud_csv(path, label_column: str | None = None):
 
     All columns except the label column must be numeric; parse
     failures are reported with their row number.  A header that names
-    a column twice is rejected.  Reading holds about 1x the float data:
-    values go into one buffer that becomes the cloud's array.
+    a column twice is rejected, and so is a column named ``label`` (the
+    cluster ids ``write_cloud_csv`` appends) that is not the
+    ``label_column``, before any row is parsed.  Reading holds about 1x
+    the float data: values go into one buffer that becomes the cloud's
+    array.
     """
     path = Path(path)
     if not path.exists():
@@ -71,6 +75,11 @@ def read_cloud_csv(path, label_column: str | None = None):
         if len(set(header)) != len(header):
             repeated = sorted({name for name in header if header.count(name) > 1})
             raise DataError(f"{path}: the header names {repeated} more than once")
+        if "label" in header and label_column != "label":
+            raise DataError(
+                f"{path} has a column named 'label', which holds cluster ids, not a feature; "
+                "pass --label-column label to measure those labels"
+            )
         label_idx = None
         if label_column is not None:
             if label_column not in header:
@@ -133,7 +142,7 @@ def _kmeans_summary(k: int, result) -> dict:
 
 
 def cmd_measure(args) -> int:
-    metrics = None if args.metrics is None else _parse_list(args.metrics, "--metrics", str)
+    metrics = None if args.metrics is None else check_metrics(_parse_list(args.metrics, "--metrics", str))
     multi = args.kmeans_multi is not None
     ks = [args.kmeans]  # None: the labels read from --label-column
     if multi:
@@ -141,11 +150,6 @@ def cmd_measure(args) -> int:
         if len(set(ks)) != len(ks):
             raise DataError(f"--kmeans-multi lists a k twice: {args.kmeans_multi!r}")
     cloud, assignment, mapping = read_cloud_csv(args.input, args.label_column)
-    if assignment is None and "label" in cloud.columns:
-        raise DataError(
-            f"{args.input} has a column named 'label', which k-means would read as a feature; "
-            "pass --label-column label to measure those labels"
-        )
     options = {
         "vectors": args.vectors,
         "seed": args.seed,
@@ -217,13 +221,17 @@ def cmd_mp(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.rbf_map is not None and (args.components is not None or args.gamma is not None):
+        raise DataError("--rbf-map reuses a saved map; omit --components and --gamma")
+    if args.gamma is not None and args.components is None:
+        raise DataError("--gamma requires --components")
+    if args.minmax is None and args.rbf_map is None and args.components is None:
+        raise DataError("nothing to do: pass --minmax and/or --components/--rbf-map")
+    bounds = None if args.minmax is None else _parse_float_pair(args.minmax, "--minmax")
     cloud, _, _ = read_cloud_csv(args.input)
-    if args.minmax is not None:
-        lo, hi = _parse_float_pair(args.minmax, "--minmax")
-        cloud, _ = minmax_scale(cloud, lo, hi)
+    if bounds is not None:
+        cloud, _ = minmax_scale(cloud, *bounds)
     if args.rbf_map is not None:
-        if args.components is not None or args.gamma is not None:
-            raise DataError("--rbf-map reuses a saved map; omit --components and --gamma")
         with _utf8_input(args.rbf_map):
             text = Path(args.rbf_map).read_text(encoding="utf-8")
         rbf = RbfMap.from_json(text)
@@ -233,10 +241,6 @@ def cmd_transform(args) -> int:
         rbf = rbf_fit(cloud.n_dims, args.components, gamma, args.seed)
         cloud = rbf_transform(rbf, cloud)
         Path(str(args.output) + ".rbf.json").write_text(rbf.to_json() + "\n", encoding="utf-8")
-    elif args.gamma is not None:
-        raise DataError("--gamma requires --components")
-    if args.minmax is None and args.rbf_map is None and args.components is None:
-        raise DataError("nothing to do: pass --minmax and/or --components/--rbf-map")
     write_cloud_csv(args.output, cloud)
     return 0
 
@@ -271,13 +275,10 @@ def cmd_generate(args) -> int:
 
 def cmd_cluster(args) -> int:
     cloud, _, _ = read_cloud_csv(args.input)
-    if "label" in cloud.columns:
-        raise DataError(f"{args.input} has a column named 'label'; cluster would write a second one")
     result = kmeans(cloud, args.kmeans, seed=args.seed)
     write_cloud_csv(args.output, cloud, labels=result.assignment.labels)
-    sidecar = str(args.output) + ".centroids.json" if args.centroids is None else args.centroids
     _write_json(
-        sidecar,
+        args.centroids,
         {
             **_kmeans_summary(args.kmeans, result),
             "seed": args.seed,
@@ -418,6 +419,8 @@ def main(argv=None) -> int:
         for flag in ("input", "output", "rbf_map", "centroids"):
             if getattr(args, flag, None) == "":
                 raise DataError(f"--{flag.replace('_', '-')} got an empty path")
+        if args.subcommand == "cluster" and args.centroids is None:
+            args.centroids = f"{args.output}.centroids.json"
         # an output that cannot be opened is found before the work, not after it
         for flag in ("output", "centroids"):
             path = getattr(args, flag, None)

@@ -30,7 +30,6 @@ class KMeansResult:
     centroids: np.ndarray
     inertia: float
     n_iter: int
-    seed: int
     reseeded: bool
     inertia_history: list[float]
 
@@ -156,7 +155,6 @@ def kmeans(
         centroids=centroids,
         inertia=inertia,
         n_iter=iteration,
-        seed=int(seed),
         reseeded=reseeded,
         inertia_history=history,
     )

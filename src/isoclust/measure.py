@@ -91,6 +91,17 @@ def _measure_cluster(view, names, rnd_set, fa_normalized):
     return values, times, clipped
 
 
+def check_metrics(names) -> list[str]:
+    """``names`` as a list; a name not in ``METRICS``, or one listed twice, is a ``DataError``."""
+    selected = list(names)
+    unknown = [m for m in selected if m not in METRICS]
+    if unknown:
+        raise DataError(f"unknown metrics: {', '.join(unknown)} (known: {', '.join(METRICS)})")
+    if len(set(selected)) != len(selected):
+        raise DataError(f"a metric is listed twice: {', '.join(selected)}")
+    return selected
+
+
 def run_measure(
     cloud: PointCloud,
     assignment: ClusterAssignment,
@@ -118,12 +129,7 @@ def run_measure(
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     explicit = metrics is not None
-    selected = list(metrics) if explicit else list(METRICS)
-    unknown = [m for m in selected if m not in METRICS]
-    if unknown:
-        raise DataError(f"unknown metrics: {', '.join(unknown)} (known: {', '.join(METRICS)})")
-    if len(set(selected)) != len(selected):
-        raise DataError(f"a metric is listed twice: {', '.join(selected)}")
+    selected = check_metrics(metrics if explicit else METRICS)
     views = split_clusters(cloud, assignment)
     sizes = [v.size for v in views]
     rnd_set = random_unit_vectors(cloud.n_dims, vectors, seed) if "i_rnd" in selected else None

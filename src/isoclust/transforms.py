@@ -27,15 +27,6 @@ class MinMaxRecord:
     hi: float
     constant: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "col_min": [float(x) for x in self.col_min],
-            "col_max": [float(x) for x in self.col_max],
-            "lo": self.lo,
-            "hi": self.hi,
-            "constant": [bool(x) for x in self.constant],
-        }
-
 
 def minmax_scale(cloud: PointCloud, lo: float = -1.0, hi: float = 1.0):
     """Affinely map every column onto [lo, hi].

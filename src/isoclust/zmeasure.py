@@ -50,14 +50,9 @@ DEFAULT_RND_COUNT = 1000
 
 @dataclass
 class DirectionSet:
-    """A non-empty set of unit vectors (rows), with provenance.
-
-    provenance is "user", "eigenvector", "random(seed=S, count=K)" or
-    "union".  Unit norm is enforced within 1e-10.
-    """
+    """A non-empty set of unit vectors (rows); unit norm is enforced within 1e-10."""
 
     vectors: np.ndarray
-    provenance: str = "user"
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -82,7 +77,7 @@ class DirectionSet:
     def union(self, other: "DirectionSet") -> "DirectionSet":
         if other.n_dims != self.n_dims:
             raise DataError("direction sets have mismatched dimensions")
-        return DirectionSet(np.vstack([self.vectors, other.vectors]), provenance="union")
+        return DirectionSet(np.vstack([self.vectors, other.vectors]))
 
 
 def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
@@ -100,7 +95,7 @@ def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, n_dims))
     norms = np.linalg.norm(raw, axis=1)
-    return DirectionSet(raw / norms[:, None], provenance=f"random(seed={seed}, count={count})")
+    return DirectionSet(raw / norms[:, None])
 
 
 def z_raw(view: ClusterView, a) -> float:
@@ -154,7 +149,7 @@ def isotropy_vec(view: ClusterView, summary: SpectralSummary | None = None) -> f
         return 1.0
     if summary is None:
         summary = spectral_summary(view)
-    return isotropy_given_b(view, DirectionSet(summary.vectors, provenance="eigenvector"))
+    return isotropy_given_b(view, DirectionSet(summary.vectors))
 
 
 def isotropy_rnd(view: ClusterView, count: int = DEFAULT_RND_COUNT, seed: int = 0) -> float:

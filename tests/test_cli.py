@@ -485,6 +485,67 @@ def test_cluster_rejects_an_input_with_a_label_column(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
+def test_every_reader_rejects_a_label_column_it_was_not_given(tmp_path, capsys):
+    # cluster's label column holds cluster ids; no command may read them as a feature
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n9,9\n")
+    clustered = str(tmp_path / "c.csv")
+    assert main(["cluster", "--input", small, "--kmeans", "2", "--output", clustered]) == 0
+    for argv in (
+        ["project", "--input", clustered],
+        ["transform", "--input", clustered, "--components", "4"],
+        ["transform", "--input", clustered, "--minmax"],
+    ):
+        assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 3
+        assert f"{clustered} has a column named 'label'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.centroids.json", "small.csv"]
+
+
+def test_measure_with_another_label_column_rejects_label(tmp_path, capsys):
+    # with --label-column cls, the label column would be read as a fourth dimension
+    both = write_text(tmp_path / "both.csv", "x0,x1,x2,label,cls\n0,0,0,0,a\n1,0,0,0,a\n0,1,0,1,b\n0,0,1,1,b\n")
+    assert main(["measure", "--input", both, "--label-column", "cls", "--output", str(tmp_path / "r.json")]) == 3
+    assert "pass --label-column label" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["both.csv"]
+
+
+def test_cluster_default_sidecar_is_checked_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_cloud_csv", fail_if_read)
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    sidecar = tmp_path / "c.csv.centroids.json"
+    sidecar.mkdir()
+    assert main(["cluster", "--input", small, "--kmeans", "2", "--output", str(tmp_path / "c.csv")]) == 3
+    assert f"--centroids {sidecar}: Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_flags_are_checked_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_cloud_csv", fail_if_read)
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    rbf_map = write_text(tmp_path / "map.json", "{}")
+    for argv, message in (
+        (["measure", "--metrics", "fa,nope", "--kmeans", "2"], "unknown metrics: nope"),
+        (["measure", "--metrics", "fa,fa", "--kmeans", "2"], "a metric is listed twice: fa, fa"),
+        (["transform", "--rbf-map", rbf_map, "--components", "4"],
+         "--rbf-map reuses a saved map; omit --components and --gamma"),
+        (["transform", "--rbf-map", rbf_map, "--gamma", "1"],
+         "--rbf-map reuses a saved map; omit --components and --gamma"),
+        (["transform", "--gamma", "1", "--minmax"], "--gamma requires --components"),
+        (["transform"], "nothing to do: pass --minmax and/or --components/--rbf-map"),
+        (["transform", "--minmax", "0:1:2"], "--minmax expects LO:HI, got '0:1:2'"),
+        (["transform", "--minmax", "0:x"], "--minmax expects numbers, got '0:x'"),
+    ):
+        assert main([*argv, "--input", small, "--output", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "small.csv"]
+
+
+def test_unreadable_input_exits_3(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["measure", "--input", str(tmp_path), "--label-column", "label", "--output", str(out)]) == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_error_exit_4(tmp_path, capsys):
     # the spectral-law moment E(L^2) ~ 4 sigma2^3 is past float64
     out = tmp_path / "mp.csv"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from isoclust import DataError, NumericError, PointCloud, kmeans
+from isoclust.cli import main, write_cloud_csv
 from isoclust.kmeans import MAX_ITER
 
 
@@ -61,7 +62,6 @@ def test_deterministic_for_seed():
     np.testing.assert_array_equal(a.assignment.labels, b.assignment.labels)
     np.testing.assert_array_equal(a.centroids, b.centroids)
     assert a.inertia == b.inertia and a.n_iter == b.n_iter
-    assert a.seed == 7
 
 
 def test_partition_invariant_to_row_order():
@@ -235,6 +235,29 @@ def test_centroid_sum_overflow_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="inertia inf is not finite at iteration 2"):
             kmeans(cloud, 2, init=[[0.6e308], [0.0]])
+
+
+# integer ULP offsets from 1e9 (one ULP there is 2**-23): a spread this close to
+# round-off makes Lloyd's inertia rise at iteration 5 under seeds 0 and 3
+ROUNDOFF_OFFSETS = [[8, -19], [3, -2], [25, -36], [-40, -40], [-31, 9], [10, 39], [-8, -12], [-23, 19],
+                    [-6, -24], [-28, -4], [-26, 37], [-4, -38], [-30, -15], [-6, 28], [13, -27], [10, 18],
+                    [28, -31], [30, -5], [12, -39], [-23, -13], [-8, -2]]
+
+
+def test_roundoff_inertia_increase_raises(tmp_path, capsys):
+    cloud = cloud_of(1e9 + np.array(ROUNDOFF_OFFSETS) * 2**-23)
+    message = "inertia increased from 1.6893864085432142e-10 to 1.7065815427486086e-10 at iteration 5"
+    for seed in (0, 3):
+        with pytest.raises(NumericError, match=message):
+            kmeans(cloud, 2, seed=seed)
+    for seed in (1, 2, 4, 5):
+        assert np.isfinite(kmeans(cloud, 2, seed=seed).inertia)
+    src = tmp_path / "roundoff.csv"
+    write_cloud_csv(src, cloud)
+    assert main(["cluster", "--input", str(src), "--kmeans", "2", "--seed", "0",
+                 "--output", str(tmp_path / "c.csv")]) == 4
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["roundoff.csv"]
 
 
 def test_max_iter_cap():

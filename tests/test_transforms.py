@@ -66,11 +66,10 @@ def test_minmax_apply_extrapolates_with_fitted_bounds():
 
 def test_minmax_record_round_trip_dict():
     _, record = minmax_scale(cloud_of([[1, 4], [3, 4]]))
-    doc = record.to_dict()
-    assert doc["col_min"] == [1.0, 4.0]
-    assert doc["col_max"] == [3.0, 4.0]
-    assert doc["constant"] == [False, True]
-    assert doc["lo"] == -1.0 and doc["hi"] == 1.0
+    assert record.col_min.tolist() == [1.0, 4.0]
+    assert record.col_max.tolist() == [3.0, 4.0]
+    assert record.constant.tolist() == [False, True]
+    assert record.lo == -1.0 and record.hi == 1.0
 
 
 def test_minmax_preserves_column_names():
