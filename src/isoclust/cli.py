@@ -29,10 +29,18 @@ import numpy as np
 from . import __version__
 from .core import ClusterAssignment, DataError, NumericError, PointCloud
 from .kmeans import kmeans
-from .measure import METRICS, check_metrics, run_measure
+from .measure import METRICS, check_options, run_measure
 from .randmat import run_mp_rows
 from .synth import SHAPE_KINDS, anisotropic_gaussian, gaussian_cluster, shape_cluster
-from .transforms import RbfMap, minmax_scale, pca_project, rbf_fit, rbf_transform
+from .transforms import (
+    RbfMap,
+    check_minmax_range,
+    check_rbf_args,
+    minmax_scale,
+    pca_project,
+    rbf_fit,
+    rbf_transform,
+)
 from .zmeasure import DEFAULT_RND_COUNT, run_sweep
 
 
@@ -142,7 +150,8 @@ def _kmeans_summary(k: int, result) -> dict:
 
 
 def cmd_measure(args) -> int:
-    metrics = None if args.metrics is None else check_metrics(_parse_list(args.metrics, "--metrics", str))
+    metrics = None if args.metrics is None else _parse_list(args.metrics, "--metrics", str)
+    check_options(metrics, args.vectors, args.threads)
     multi = args.kmeans_multi is not None
     ks = [args.kmeans]  # None: the labels read from --label-column
     if multi:
@@ -228,6 +237,10 @@ def cmd_transform(args) -> int:
     if args.minmax is None and args.rbf_map is None and args.components is None:
         raise DataError("nothing to do: pass --minmax and/or --components/--rbf-map")
     bounds = None if args.minmax is None else _parse_float_pair(args.minmax, "--minmax")
+    if bounds is not None:
+        check_minmax_range(*bounds)
+    if args.components is not None:
+        check_rbf_args(args.components, args.gamma)
     cloud, _, _ = read_cloud_csv(args.input)
     if bounds is not None:
         cloud, _ = minmax_scale(cloud, *bounds)

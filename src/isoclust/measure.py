@@ -35,7 +35,14 @@ from .validation import (
     mean_pairwise_dist,
     silhouette,
 )
-from .zmeasure import DEFAULT_RND_COUNT, DirectionSet, isotropy_given_b, isotropy_vec, random_unit_vectors
+from .zmeasure import (
+    DEFAULT_RND_COUNT,
+    DirectionSet,
+    check_direction_count,
+    isotropy_given_b,
+    isotropy_vec,
+    random_unit_vectors,
+)
 
 
 class Cluster(NamedTuple):
@@ -91,14 +98,24 @@ def _measure_cluster(view, names, rnd_set, fa_normalized):
     return values, times, clipped
 
 
-def check_metrics(names) -> list[str]:
-    """``names`` as a list; a name not in ``METRICS``, or one listed twice, is a ``DataError``."""
-    selected = list(names)
+def check_options(metrics=None, vectors: int = DEFAULT_RND_COUNT, threads: int = 1) -> list[str]:
+    """The metric names ``run_measure`` computes: ``metrics`` as a list,
+    or every name in ``METRICS`` when it is None.
+
+    ``threads < 1``, a name not in ``METRICS``, a name listed twice and,
+    when ``i_rnd`` is selected, fewer than 2 ``vectors`` are each a
+    ``DataError``, raised before any work is done.
+    """
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
+    selected = list(METRICS if metrics is None else metrics)
     unknown = [m for m in selected if m not in METRICS]
     if unknown:
         raise DataError(f"unknown metrics: {', '.join(unknown)} (known: {', '.join(METRICS)})")
     if len(set(selected)) != len(selected):
         raise DataError(f"a metric is listed twice: {', '.join(selected)}")
+    if "i_rnd" in selected:
+        check_direction_count(vectors)
     return selected
 
 
@@ -126,10 +143,8 @@ def run_measure(
     Values are independent of the thread count.  A value outside its
     documented bound raises ``NumericError``.
     """
-    if threads < 1:
-        raise DataError(f"threads must be >= 1, got {threads}")
     explicit = metrics is not None
-    selected = check_metrics(metrics if explicit else METRICS)
+    selected = check_options(metrics, vectors, threads)
     views = split_clusters(cloud, assignment)
     sizes = [v.size for v in views]
     rnd_set = random_unit_vectors(cloud.n_dims, vectors, seed) if "i_rnd" in selected else None

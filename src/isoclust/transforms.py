@@ -28,6 +28,12 @@ class MinMaxRecord:
     constant: np.ndarray
 
 
+def check_minmax_range(lo: float, hi: float) -> None:
+    """A min-max target range needs ``lo < hi``; otherwise a ``DataError``."""
+    if not lo < hi:
+        raise DataError(f"need lo < hi, got ({lo}, {hi})")
+
+
 def minmax_scale(cloud: PointCloud, lo: float = -1.0, hi: float = 1.0):
     """Affinely map every column onto [lo, hi].
 
@@ -36,8 +42,7 @@ def minmax_scale(cloud: PointCloud, lo: float = -1.0, hi: float = 1.0):
     on the scaled output is the identity map, since each non-constant
     column spans exactly [lo, hi].
     """
-    if not lo < hi:
-        raise DataError(f"need lo < hi, got ({lo}, {hi})")
+    check_minmax_range(lo, hi)
     cmin = cloud.data.min(axis=0)
     cmax = cloud.data.max(axis=0)
     record = MinMaxRecord(cmin, cmax, float(lo), float(hi), cmax == cmin)
@@ -123,12 +128,20 @@ class RbfMap:
         return cls(**fields)
 
 
+def check_rbf_args(n_out: int, gamma: float | None = None) -> None:
+    """A feature map needs ``n_out >= 1`` output features and, when
+    ``gamma`` is given, a positive kernel width; otherwise a ``DataError``."""
+    if n_out < 1:
+        raise DataError(f"need n_out >= 1, got {n_out}")
+    if gamma is not None and not gamma > 0:
+        raise DataError(f"gamma must be positive, got {gamma}")
+
+
 def rbf_fit(n_in: int, n_out: int, gamma: float, seed: int) -> RbfMap:
     """Draw a random Fourier feature map, deterministic for a seed."""
-    if n_in < 1 or n_out < 1:
-        raise DataError(f"need n_in >= 1 and n_out >= 1, got ({n_in}, {n_out})")
-    if gamma <= 0:
-        raise DataError(f"gamma must be positive, got {gamma}")
+    if n_in < 1:
+        raise DataError(f"need n_in >= 1, got {n_in}")
+    check_rbf_args(n_out, gamma)
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(n_in, n_out))
     offsets = rng.uniform(0.0, 2.0 * np.pi, size=n_out)

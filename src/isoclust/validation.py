@@ -4,8 +4,11 @@ edge behavior is pinned down explicitly (singleton silhouette is 0,
 coincident centroids and zero dispersion are errors).  Silhouette and
 Calinski-Harabasz read one cluster-ordered gather of the member rows.
 Silhouette reduces the pairwise distances to per-cluster sums per
-point, filled one block of B rows at a time, so it holds O(N*B)
-distances for N points, not the N x N matrix.
+point, filled one pair of clusters (small clusters merged into groups)
+at a time: a pair whose distance tile fits in 16 MiB is computed once
+and summed along both of its sides, a larger pair in blocks of rows.
+It never holds more than one 16 MiB tile of distances, not the N x N
+matrix.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ from scipy.spatial.distance import cdist, pdist
 
 from .core import ClusterView, DataError, NumericError
 
-# Byte budget of one silhouette distance block: B = _BLOCK_BYTES // (8 * N)
-# rows against all N points, at least one row.
+# Byte budget of one silhouette distance tile: the whole tile of a pair of
+# cluster groups when it fits, else B = _BLOCK_BYTES // (8 * |G_b|) rows of
+# G_a against G_b, at least one row.
 _BLOCK_BYTES = 16 * 2**20
+# Clusters smaller than this are merged with their neighbours into groups of
+# at least this many points: each tile costs one cdist call, about 20 us
+# besides the distances, and k = 2,000 clusters of 4 points would otherwise
+# make 2 million calls.
+_GROUP_ROWS = 128
 
 
 def mean_dist_to_centroid(view: ClusterView) -> float:
@@ -48,6 +57,79 @@ def _stack(views: list[ClusterView]):
     return data, np.cumsum([0] + [v.size for v in views])
 
 
+def _groups(starts):
+    """The clusters, in stack order, merged into tile groups.
+
+    A cluster of at least ``_GROUP_ROWS`` points is a group of its own;
+    runs of smaller ones are merged until a group holds that many.  Each
+    group is ``(lo, hi, spans)``: its rows ``lo:hi`` of the stack, and one
+    ``(cluster id, lo, hi)`` per member cluster, with rows relative to
+    the group's ``lo``.
+    """
+    groups, run = [], []
+    for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        if run and hi - lo >= _GROUP_ROWS:
+            groups.append(run)
+            run = []
+        run.append((j, lo, hi))
+        if run[-1][2] - run[0][1] >= _GROUP_ROWS:
+            groups.append(run)
+            run = []
+    if run:
+        groups.append(run)
+    return [(g[0][1], g[-1][2], [(j, lo - g[0][1], hi - g[0][1]) for j, lo, hi in g]) for g in groups]
+
+
+def _distances(x, y):
+    """``cdist(x, y)``; a distance that overflows float64 is a ``NumericError``."""
+    dists = cdist(x, y)
+    if not np.isfinite(dists.max()):
+        raise NumericError("silhouette pairwise distance overflows float64")
+    return dists
+
+
+def _slice_sums(out, dists, spans):
+    """``out[p, j]`` = sum of row p of ``dists`` over cluster j's columns."""
+    for j, lo, hi in spans:
+        out[:, j] = dists[:, lo:hi].sum(axis=1)
+
+
+def _row_sums(out, x, y, spans):
+    """``_slice_sums`` of ``cdist(x, y)``, measured in blocks of rows of
+    ``x`` that fit in ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // (8 * len(y)))
+    for r0 in range(0, len(x), step):
+        _slice_sums(out[r0 : r0 + step], _distances(x[r0 : r0 + step], y), spans)
+
+
+def _pair_sums(sums, data, group_a, group_b):
+    """Fill the rows of ``sums`` of group a with their distance sums to
+    the clusters of group b and, for two different groups, the other
+    way round.
+
+    A tile that fits in ``_BLOCK_BYTES`` is computed once and read along
+    both sides (a group's own tile already holds both); its transpose is
+    copied in chunks of 1/64 of the budget, so that the sums run over
+    contiguous values.  A larger pair is measured in row blocks, both
+    ways.  The tile lives only in this call, so one is held at a time.
+    """
+    (lo_a, hi_a, spans_a), (lo_b, hi_b, spans_b) = group_a, group_b
+    x, y = data[lo_a:hi_a], data[lo_b:hi_b]
+    x_sums, y_sums = sums[lo_a:hi_a], sums[lo_b:hi_b]
+    if 8 * len(x) * len(y) > _BLOCK_BYTES:
+        _row_sums(x_sums, x, y, spans_b)
+        if group_a is not group_b:
+            _row_sums(y_sums, y, x, spans_a)
+        return
+    tile = _distances(x, y)
+    _slice_sums(x_sums, tile, spans_b)
+    if group_a is not group_b:
+        width = max(1, _BLOCK_BYTES // 64 // (8 * len(x)))
+        for c0 in range(0, len(y), width):
+            chunk = np.ascontiguousarray(tile[:, c0 : c0 + width].T)
+            _slice_sums(y_sums[c0 : c0 + width], chunk, spans_a)
+
+
 def silhouette(views: list[ClusterView]) -> float:
     """Mean silhouette coefficient over all points.
 
@@ -56,27 +138,29 @@ def silhouette(views: list[ClusterView]) -> float:
     cluster, s = (b - a) / max(a, b).  Points in singleton clusters
     score 0.  A distance that overflows float64 is a ``NumericError``.
 
-    The N x N distance matrix is never held: each block of B rows is
-    measured against all N points and reduced to its per-cluster sums,
-    so memory is O(N*B), with B set so a block fits in 16 MiB.  Every
-    pair is computed on its own and every sum runs over the same values
-    in the same order as over the full matrix, so the value is exactly
-    the full-matrix one.
+    The N x N distance matrix is never held.  Clusters of at least 128
+    points are tile groups of their own, and runs of smaller ones are
+    merged into groups of about 128.  Each unordered group pair a <= b
+    whose tile ``cdist(G_a, G_b)`` fits in 16 MiB is computed once: the
+    row sums of its column slices give G_a's distance sums to each of
+    G_b's clusters, and those of its transpose, copied in small column
+    chunks, G_b's sums to G_a's clusters; a group's own tile holds both
+    sides.  A pair whose tile does not fit is measured in blocks of rows,
+    G_a against G_b and then G_b against G_a, so memory stays at one
+    16 MiB tile at any N.  Every sum runs over the same values in the
+    same order as the full matrix's row slices (a distance is bitwise
+    symmetric), so the value is exactly the full-matrix one.
     """
     data, starts = _stack(views)
-    n = len(data)
-    step = max(1, _BLOCK_BYTES // (8 * n))
+    groups = _groups(starts)
     # sums[p, j]: total distance from point p to the members of cluster j
-    sums = np.empty((n, len(views)))
-    for r0 in range(0, n, step):
-        dists = cdist(data[r0 : r0 + step], data)
-        if not np.isfinite(dists.max()):
-            raise NumericError("silhouette pairwise distance overflows float64")
-        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            sums[r0 : r0 + step, j] = dists[:, lo:hi].sum(axis=1)
+    sums = np.empty((len(data), len(views)))
+    for i, group in enumerate(groups):
+        for other in groups[i:]:
+            _pair_sums(sums, data, group, other)
     sizes = np.diff(starts)
     own = np.repeat(np.arange(len(views)), sizes)
-    rows = np.arange(n)
+    rows = np.arange(len(data))
     a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
     sums[rows, own] = np.inf  # b ranges over the other clusters only
     b = (sums / sizes).min(axis=1)

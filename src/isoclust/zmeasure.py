@@ -80,18 +80,24 @@ class DirectionSet:
         return DirectionSet(np.vstack([self.vectors, other.vectors]))
 
 
+def check_direction_count(count: int) -> None:
+    """A random direction set needs ``count >= 2``: a min/max ratio needs
+    at least two candidates.  Fewer is a ``DataError``."""
+    if count < 2:
+        raise DataError(f"count must be >= 2, got {count}")
+
+
 def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     """``count`` uniform random unit vectors in R^n, Gaussian-normalized.
 
     Deterministic for a given 64-bit seed.  Sets drawn with the same
     seed are prefix-nested across counts (the generator fills row by
     row), so enlarging the count refines the same set.  count >= 2 is
-    required: a min/max ratio needs at least two candidates.
+    required (``check_direction_count``).
     """
     if n_dims < 1:
         raise DataError(f"n_dims must be >= 1, got {n_dims}")
-    if count < 2:
-        raise DataError(f"count must be >= 2, got {count}")
+    check_direction_count(count)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, n_dims))
     norms = np.linalg.norm(raw, axis=1)

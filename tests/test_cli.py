@@ -533,10 +533,30 @@ def test_flags_are_checked_before_the_input_is_read(tmp_path, monkeypatch, capsy
         (["transform"], "nothing to do: pass --minmax and/or --components/--rbf-map"),
         (["transform", "--minmax", "0:1:2"], "--minmax expects LO:HI, got '0:1:2'"),
         (["transform", "--minmax", "0:x"], "--minmax expects numbers, got '0:x'"),
+        (["measure", "--kmeans", "2", "--threads", "0"], "threads must be >= 1, got 0"),
+        (["measure", "--kmeans-multi", "2,3", "--threads", "-1"], "threads must be >= 1, got -1"),
+        # i_rnd is selected by default, or by name
+        (["measure", "--kmeans", "2", "--vectors", "1"], "count must be >= 2, got 1"),
+        (["measure", "--kmeans", "2", "--metrics", "fa,i_rnd", "--vectors", "0"], "count must be >= 2, got 0"),
+        (["transform", "--minmax", "1:0"], "need lo < hi, got (1.0, 0.0)"),
+        (["transform", "--minmax", "2:2", "--components", "4"], "need lo < hi, got (2.0, 2.0)"),
+        (["transform", "--components", "0"], "need n_out >= 1, got 0"),
+        (["transform", "--components", "4", "--gamma", "0"], "gamma must be positive, got 0.0"),
     ):
         assert main([*argv, "--input", small, "--output", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "small.csv"]
+
+
+def test_vectors_apply_only_to_i_rnd(tmp_path):
+    small = write_text(tmp_path / "small.csv", "x,y,label\n1,2,a\n3,4,a\n5,7,b\n6,7,b\n")
+    out = tmp_path / "r.json"
+    argv = ["measure", "--input", small, "--label-column", "label", "--vectors", "1", "--output", str(out)]
+    assert main([*argv, "--metrics", "fa"]) == 0
+    assert load_json(out)["params"]["vectors"] == 1
+    cloud, assignment, _ = read_cloud_csv(small, label_column="label")
+    with pytest.raises(DataError, match="count must be >= 2, got 1"):
+        run_measure(cloud, assignment, metrics=["i_rnd"], vectors=1)
 
 
 def test_unreadable_input_exits_3(tmp_path, capsys):

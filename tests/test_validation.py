@@ -203,6 +203,89 @@ def test_silhouette_memory_is_bounded_by_the_block():
     assert peak < 64e6
 
 
+@given(float_clusterings(), st.integers(1, 12), st.sampled_from(["all", "some", "none"]))
+def test_tiled_silhouette_is_bit_identical_to_the_full_matrix(views, group_rows, fitting):
+    # groups of at least `group_rows` points (1: one per cluster), under a
+    # budget where all, some or none of the group-pair tiles fit: tiles and
+    # the row blocks of oversized pairs sum the full matrix's values in its
+    # order, so the value is exact, not merely close
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_GROUP_ROWS", group_rows)
+        starts = validation._stack(views)[1]
+        sizes = sorted(hi - lo for lo, hi, _ in validation._groups(starts))
+        budget = {"all": 8 * sizes[-1] ** 2, "some": 8 * sizes[0] * sizes[-1], "none": 8 * sizes[0] ** 2 - 1}
+        mp.setattr(validation, "_BLOCK_BYTES", budget[fitting])
+        assert silhouette(views) == silhouette_full_matrix(views)
+
+
+def cdist_calls(monkeypatch, views):
+    """The number of pairs in each ``cdist`` call of one silhouette run,
+    whose value must equal the full-matrix one."""
+    expected = silhouette_full_matrix(views)
+    calls = []
+
+    def counting_cdist(x, y):
+        calls.append(len(x) * len(y))
+        return cdist(x, y)
+
+    monkeypatch.setattr(validation, "cdist", counting_cdist)
+    assert silhouette(views) == expected
+    return calls
+
+
+def test_silhouette_computes_each_pairwise_distance_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    views = make_views(rng.normal(size=(1200, 3)), rng.integers(0, 4, size=1200))
+    calls = cdist_calls(monkeypatch, views)
+    sizes = [v.size for v in views]
+    assert min(sizes) > 250 and len(calls) == 10
+    # one tile per unordered cluster pair, diagonal included: not N^2 = 1,440,000
+    assert sum(calls) == sum(sizes[i] * sizes[j] for i in range(4) for j in range(i, 4))
+
+
+def test_small_clusters_share_tiles(monkeypatch):
+    # 512 clusters of 4 points: 16 groups of 128 points make 136 tiles,
+    # not one per cluster pair (131,328)
+    rng = np.random.default_rng(5)
+    calls = cdist_calls(monkeypatch, make_views(rng.normal(size=(2048, 3)), np.arange(2048) % 512))
+    assert len(calls) == 16 * 17 // 2 and sum(calls) == 128**2 * 16 * 17 // 2
+
+
+# one cluster's own tile overflows (its two far points are 1.8e154 apart), or
+# only the tile between the two clusters does; every other distance is finite
+DIAGONAL_OVERFLOW = ([[0, 0], [0, 1], [1, 0], [5, 5], [9e153, 0], [-9e153, 1]], [0, 0, 0, 1, 1, 1])
+OFF_DIAGONAL_OVERFLOW = ([[9e153, 0], [9e153, 1], [9e153, 2], [-9e153, 0], [-9e153, 1], [-9e153, 2]],
+                         [0, 0, 0, 1, 1, 1])
+
+
+@pytest.mark.parametrize("case", [DIAGONAL_OVERFLOW, OFF_DIAGONAL_OVERFLOW], ids=["diagonal", "off_diagonal"])
+@pytest.mark.parametrize("budget", [validation._BLOCK_BYTES, 8 * 2], ids=["tile", "oversized"])
+@pytest.mark.parametrize("group_rows", [1, validation._GROUP_ROWS], ids=["per_cluster", "grouped"])
+def test_silhouette_overflow_in_a_tile_raises(case, budget, group_rows):
+    views = make_views(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_BLOCK_BYTES", budget)
+        mp.setattr(validation, "_GROUP_ROWS", group_rows)
+        with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
+            silhouette(views)
+
+
+def test_silhouette_memory_is_one_tile_when_every_tile_fits():
+    # 4 clusters of 1,250 points: each pair's tile is 12.5 MB and fits the
+    # 16 MiB budget; a second whole tile, such as an unchunked transpose,
+    # would take the peak past 25 MB
+    rng = np.random.default_rng(10)
+    views = make_views(rng.normal(size=(5000, 3)), rng.permutation(np.repeat(np.arange(4), 1250)))
+    assert 8 * 1250**2 <= validation._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        silhouette(views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1250**2 + 3e6
+
+
 def test_silhouette_needs_two_clusters():
     with pytest.raises(DataError):
         silhouette(make_views([[0, 0], [1, 1]], [0, 0]))
