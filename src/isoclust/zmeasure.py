@@ -26,8 +26,19 @@ Two canonical choices of B:
 * ``isotropy_rnd``: ``count`` seeded random unit vectors; converges to
   the true value from above as the count grows.
 
-Z' is evaluated through a log-sum-exp shift so heavy-tailed clusters
-cannot overflow; ratios are formed in log space.
+Z' is evaluated in log space, so heavy-tailed clusters cannot overflow,
+and ratios are formed there too.  ``_log_sum_exp`` is the formula of
+scipy 1.17's ``logsumexp`` for real, finite input, written out so that
+reports do not move with whichever scipy (``>= 1.9``) is installed.
+Along each column of x, with m its maximum and k the number of entries
+equal to m,
+
+    s = sum_{x != m} exp(x - m),   log sum exp(x) = log1p(s / k) + log k + m
+
+(s / k is taken only where s != 0).  Probing a cluster C with a direction
+set B holds one |C| x |B| float64 product, one work array of the same
+size and one |C| x |B| bool mask of the maxima: 17 bytes per product
+entry.
 
 ``run_sweep`` compares the two choices, on value and cost, across
 dimensionalities of fresh Gaussian clusters.
@@ -39,7 +50,6 @@ import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ClusterView, DataError, center_and_scale, timed
 from .spectral import SpectralSummary, spectral_summary
@@ -120,13 +130,42 @@ def z_prime(view: ClusterView, a) -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (view.n_dims,):
         raise DataError(f"direction has shape {a.shape}, cluster has {view.n_dims} dims")
-    return float(np.exp(logsumexp(center_and_scale(view, view.points) @ a)))
+    x = center_and_scale(view, view.points) @ a
+    return float(np.exp(_log_sum_exp(x, np.empty_like(x))))
+
+
+def _log_sum_exp(e: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """log sum exp(e) along axis 0, using ``work`` (shaped like ``e``) as
+    scratch; ``e`` is left as it was.
+
+    The value is bitwise that of scipy's ``logsumexp(e, axis=0)``
+    for finite ``e``, which a probe's exponents are: a scaled member lies
+    at most |C| from the origin, its distance to the centroid being at
+    most the sum of all |C| of them.  scipy's fallback for a non-finite
+    result and its sign handling cannot act then: the maximum m is
+    finite, at least one entry equals it (k >= 1), and each other entry
+    adds at most 1 to s, so s / k lies in [0, len(e) - 1] and both
+    logarithms take a finite argument of at least 1.
+    """
+    amax = e.max(0)
+    ties = e == amax
+    cnt = ties.sum(0, dtype=np.float64)
+    np.subtract(e, amax, out=work)
+    work[ties] = -np.inf
+    np.exp(work, out=work)
+    s = work.sum(0)
+    s = np.where(s == 0, s, s / cnt)
+    return np.log1p(s) + np.log(cnt) + amax
 
 
 def _log_z_both(scaled: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """log Z' for every direction and its negation, one matmul."""
-    exponents = scaled @ vectors.T
-    return np.concatenate([logsumexp(exponents, axis=0), logsumexp(-exponents, axis=0)])
+    """log Z' for every direction, then for every negated direction, from
+    one product and one work array: -B negates the product in place."""
+    e = scaled @ vectors.T
+    work = np.empty_like(e)
+    plus = _log_sum_exp(e, work)
+    np.negative(e, out=e)
+    return np.concatenate([plus, _log_sum_exp(e, work)])
 
 
 def isotropy_given_b(view: ClusterView, b: DirectionSet) -> float:

@@ -646,13 +646,22 @@ def test_out_of_memory_exits_5_and_writes_nothing(tmp_path):
     rows = "".join(f"{i},{i % 7},a\n" for i in range(2000))
     src = write_text(tmp_path / "big.csv", "x,y,label\n" + rows)
     out = tmp_path / "r.json"
-    argv = ["measure", "--input", src, "--label-column", "label", "--vectors", "100000", "--output", str(out)]
+    argv = ["measure", "--input", src, "--label-column", "label", "--output", str(out)]
     env = child_env(OPENBLAS_NUM_THREADS="1")
     limited = [sys.executable, "-c", _MEASURE_LIMITED, str(1 << 30), *argv]
-    proc = subprocess.run([*limited, "--metrics", "i_rnd"], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([*limited, "--metrics", "i_rnd", "--vectors", "100000"], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr.startswith("isoclust: out of memory: ")
     assert not out.exists()
+    # at 10,000 vectors the probe holds its 153 MiB product, one work array
+    # of that size and a bool mask, well inside the limit
+    proc = subprocess.run([*limited, "--metrics", "i_rnd", "--vectors", "10000"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (value,) = load_json(out)["per_cluster"]["i_rnd"]
+    assert 0.0 < value <= 1.0
+    out.unlink()
     # the same input and limit without the probe runs
     proc = subprocess.run([*limited, "--metrics", "fa"], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

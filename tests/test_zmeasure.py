@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from isoclust import (
     ClusterView,
     DataError,
     DirectionSet,
     PointCloud,
+    center_and_scale,
     isotropy_given_b,
     isotropy_rnd,
     isotropy_vec,
@@ -16,6 +20,7 @@ from isoclust import (
     z_prime,
     z_raw,
 )
+from isoclust import zmeasure
 
 E = np.e
 
@@ -245,6 +250,81 @@ def test_degenerate_sentinels():
     with pytest.raises(DataError, match="count must be >= 2"):
         isotropy_rnd(degenerate, count=1)
 
+
+# --- the in-house log-sum-exp against scipy's --------------------------------
+
+
+@st.composite
+def exponent_arrays(draw):
+    """Finite 1-D or 2-D arrays at scales 1e-5 to 1e5, optionally rounded
+    to few distinct values (ties) and with several rows set to their
+    column maxima, down to a single row or column."""
+    rows = draw(st.integers(1, 40))
+    shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.standard_t(3, size=shape) * 10.0 ** draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        e = np.round(e / np.abs(e).max() * draw(st.integers(1, 4)))
+    maxima = draw(st.integers(0, rows - 1))
+    e[rng.choice(rows, maxima, replace=False)] = e.max(0)
+    return e
+
+
+@given(exponent_arrays())
+def test_log_sum_exp_is_scipys_bitwise(e):
+    kept = e.copy()
+    assert np.array_equal(zmeasure._log_sum_exp(e, np.empty_like(e)), logsumexp(e, axis=0))
+    assert np.array_equal(e, kept)
+
+
+@st.composite
+def probed_clusters(draw):
+    """t3 clusters, some with half their points coincident or rounded to
+    ties, with random or scatter-eigenvector probes, from one direction up."""
+    size = draw(st.integers(2, 60))
+    dims = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_t(3, size=(size, dims)) * 10.0 ** draw(st.integers(-5, 5))
+    shape = draw(st.sampled_from(["t3", "half coincident", "rounded"]))
+    if shape == "half coincident":
+        pts[: size // 2] = pts[0]
+    elif shape == "rounded":
+        pts = np.round(pts / np.abs(pts).max() * 3)
+    view = view_of(pts)
+    if view.degenerate:
+        pts[0, 0] += 1.0
+        view = view_of(pts)
+    if draw(st.booleans()):
+        vectors = spectral_summary(view).vectors
+    else:
+        vectors = random_unit_vectors(dims, draw(st.integers(2, 50)), int(rng.integers(2**32))).vectors
+        vectors = vectors[: draw(st.integers(1, len(vectors)))]
+    return view, vectors
+
+
+@given(probed_clusters())
+def test_log_z_both_is_scipys_bitwise(probe):
+    view, vectors = probe
+    scaled = center_and_scale(view, view.points)
+    exponents = scaled @ vectors.T
+    expected = np.concatenate([logsumexp(exponents, axis=0), logsumexp(-exponents, axis=0)])
+    assert np.array_equal(zmeasure._log_z_both(scaled, vectors), expected)
+
+
+def test_probe_holds_one_product_one_work_array_and_a_mask():
+    # 20,000 x 1,000 exponents: the product, one work array and a bool mask
+    # come to 324 MiB; scipy's logsumexp on the product and its negation
+    # peaked at 1,095 MiB
+    view = view_of(np.random.default_rng(5).standard_t(3, size=(20_000, 50)))
+    b = random_unit_vectors(50, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        value = isotropy_given_b(view, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value <= 1.0
+    assert peak < 400 * 2**20
 
 
 # --- the Jensen oracle ----------------------------------------------------------
