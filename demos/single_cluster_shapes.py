@@ -11,8 +11,6 @@ symmetry axes and miss the arms, so random probing finds a smaller
 (more honest) directional ratio.
 """
 
-import numpy as np
-
 from isoclust import (
     ClusterView,
     anisotropic_gaussian,
@@ -26,15 +24,11 @@ from isoclust import (
 )
 
 
-def as_view(cloud):
-    return ClusterView(cloud, np.arange(cloud.n_points))
-
-
 clusters = {
-    "gaussian ball (5-D)": as_view(gaussian_cluster(5, 400, seed=1)),
-    "squashed gaussian (5-D)": as_view(anisotropic_gaussian(5, 400, [1, 1, 1, 1, 0.05], seed=1)),
-    "s_curve (2-D)": as_view(shape_cluster("s_curve", 400, noise=0.02, seed=1)),
-    "l_shape (2-D)": as_view(shape_cluster("l_shape", 400, seed=1)),
+    "gaussian ball (5-D)": ClusterView(gaussian_cluster(5, 400, seed=1)),
+    "squashed gaussian (5-D)": ClusterView(anisotropic_gaussian(5, 400, [1, 1, 1, 1, 0.05], seed=1)),
+    "s_curve (2-D)": ClusterView(shape_cluster("s_curve", 400, noise=0.02, seed=1)),
+    "l_shape (2-D)": ClusterView(shape_cluster("l_shape", 400, seed=1)),
 }
 
 print(f"{'cluster':<26} {'var_lambda':>11} {'fa':>8} {'i_vec':>8} {'i_rnd':>8}")

@@ -9,8 +9,8 @@ wall-clock timings, which vary, live in a report's "metadata" block,
 the one part excluded from that guarantee.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
-5 out of memory.  Every command checks its output paths (cluster's
-default sidecar too) and its flags before it reads any input.  An
+5 out of memory.  Every command checks its output paths (default
+sidecars too) and its flags before it reads any input.  An
 input column named `label` is rejected unless it is the --label-column.
 """
 
@@ -58,25 +58,34 @@ def _utf8_input(path):
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
+def _csv_rows(path, fh):
+    """``csv.reader(fh)``, a ``csv.Error`` raised as a ``DataError`` naming the row."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path} row {reader.line_num}: {exc}") from None
+
+
 def read_cloud_csv(path, label_column: str | None = None):
     """Read a CSV with a header row into (cloud, assignment, mapping).
 
     Without ``label_column`` the assignment and mapping are None.
 
     All columns except the label column must be numeric; parse
-    failures are reported with their row number.  A header that names
-    a column twice is rejected, and so is a column named ``label`` (the
-    cluster ids ``write_cloud_csv`` appends) that is not the
-    ``label_column``, before any row is parsed.  Reading holds about 1x
-    the float data: values go into one buffer that becomes the cloud's
-    array.
+    failures (a malformed row too) are reported with their row number.
+    A header that names a column twice is rejected, and so is a column
+    named ``label`` (the cluster ids ``write_cloud_csv`` appends) that is
+    not the ``label_column``, before any row is parsed.  Reading holds
+    about 1x the float data: values go into one buffer that becomes the
+    cloud's array.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with _utf8_input(path), path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
@@ -253,7 +262,7 @@ def cmd_transform(args) -> int:
         gamma = args.gamma if args.gamma is not None else 1.0 / cloud.n_dims
         rbf = rbf_fit(cloud.n_dims, args.components, gamma, args.seed)
         cloud = rbf_transform(rbf, cloud)
-        Path(str(args.output) + ".rbf.json").write_text(rbf.to_json() + "\n", encoding="utf-8")
+        Path(args.rbf_sidecar).write_text(rbf.to_json() + "\n", encoding="utf-8")
     write_cloud_csv(args.output, cloud)
     return 0
 
@@ -435,12 +444,14 @@ def main(argv=None) -> int:
         if args.subcommand == "cluster" and args.centroids is None:
             args.centroids = f"{args.output}.centroids.json"
         # an output that cannot be opened is found before the work, not after it
-        for flag in ("output", "centroids"):
-            path = getattr(args, flag, None)
+        outputs = {f"--{flag}": getattr(args, flag, None) for flag in ("output", "centroids")}
+        if args.subcommand == "transform" and args.components is not None:
+            outputs["the RBF map sidecar"] = args.rbf_sidecar = f"{args.output}.rbf.json"
+        for name, path in outputs.items():
             if path is not None and Path(path).is_dir():
-                raise DataError(f"--{flag} {path}: Is a directory")
+                raise DataError(f"{name} {path}: Is a directory")
             if path is not None and not Path(path).parent.is_dir():
-                raise DataError(f"--{flag} {path}: No such file or directory")
+                raise DataError(f"{name} {path}: No such file or directory")
         return args.func(args)
     except DataError as exc:
         print(f"isoclust: data error: {exc}", file=sys.stderr)

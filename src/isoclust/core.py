@@ -2,12 +2,10 @@
 
 A :class:`PointCloud` is an immutable-by-convention matrix of points
 (rows) with float64 entries.  A :class:`ClusterAssignment` maps each
-point to one of k contiguous cluster ids.  A :class:`ClusterView` is a
-window onto the rows of a parent cloud belonging to one cluster; it
-keeps the member indices and the centroid and dispersion scale mu (the
-mean distance of members to the centroid), computed once from a copy of
-the member rows that is not kept, and every ``points`` access returns a
-fresh copy of those rows.  :func:`timed` is the package's one clock.
+point to one of k contiguous cluster ids.  A :class:`ClusterView` is one
+cluster whose members are a cloud's points; ``points`` is that cloud's
+array, never a copy.  :func:`split_clusters` gathers a clustering's rows
+once, in cluster order.  :func:`timed` is the package's one clock.
 """
 
 from __future__ import annotations
@@ -102,30 +100,22 @@ class ClusterAssignment:
 
 
 class ClusterView:
-    """The members of one cluster, referencing rows of the parent cloud.
+    """One cluster, whose members are the points of ``cloud``.
 
-    Construction copies the member rows once to compute the centroid and
-    the dispersion scale ``mu`` (mean member distance to the centroid),
-    which are cached; the copy is not kept.  Each ``points`` access
-    returns a fresh copy of the member rows.  ``mu == 0`` marks a
-    degenerate cluster (a single point or coincident points).  A cluster
-    whose total squared distance to the centroid overflows float64 (so
-    its scatter would) raises ``NumericError``.
+    Construction computes the centroid and the dispersion scale ``mu``
+    (mean member distance to the centroid) once.  ``points`` is the
+    cloud's array itself, not a copy.  ``mu == 0`` marks a degenerate
+    cluster (a single point or coincident points).  A cluster whose
+    total squared distance to the centroid overflows float64 (so its
+    scatter would) raises ``NumericError``.
     """
 
-    def __init__(self, parent: PointCloud, indices, cluster_id: int = 0):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size < 1:
-            raise DataError("cluster view needs at least one member index")
-        if idx.min() < 0 or idx.max() >= parent.n_points:
-            raise DataError(f"out-of-range member index for cloud of {parent.n_points} points")
-        self.parent = parent
-        self.indices = idx
+    def __init__(self, cloud: PointCloud, cluster_id: int = 0):
+        self.cloud = cloud
         self.cluster_id = int(cluster_id)
-        members = parent.data[idx]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.centroid = members.mean(axis=0)
-            deviations = members - self.centroid
+            self.centroid = cloud.data.mean(axis=0)
+            deviations = cloud.data - self.centroid
             sq_dist = (deviations * deviations).sum(axis=1)
             # the total bounds every scatter and Gram matrix entry
             if not np.isfinite(sq_dist.sum()):
@@ -134,15 +124,15 @@ class ClusterView:
 
     @property
     def points(self) -> np.ndarray:
-        return self.parent.data[self.indices]
+        return self.cloud.data
 
     @property
     def size(self) -> int:
-        return int(self.indices.size)
+        return self.cloud.n_points
 
     @property
     def n_dims(self) -> int:
-        return self.parent.n_dims
+        return self.cloud.n_dims
 
     @property
     def degenerate(self) -> bool:
@@ -153,15 +143,17 @@ class ClusterView:
 
 
 def split_clusters(cloud: PointCloud, assignment: ClusterAssignment) -> list[ClusterView]:
-    """Split a cloud into per-cluster views, ordered by cluster id."""
+    """Split a cloud into per-cluster views, ordered by cluster id; each
+    view's cloud is a slice of one copy of the rows in cluster order."""
     if len(assignment) != cloud.n_points:
         raise DataError(
             f"{len(assignment)} labels for {cloud.n_points} points"
         )
     order = np.argsort(assignment.labels, kind="stable")
     bounds = np.searchsorted(assignment.labels[order], np.arange(assignment.k + 1))
+    data = cloud.data[order]
     return [
-        ClusterView(cloud, order[bounds[i]:bounds[i + 1]], cluster_id=i)
+        ClusterView(PointCloud(data[bounds[i]:bounds[i + 1]]), cluster_id=i)
         for i in range(assignment.k)
     ]
 

@@ -186,7 +186,7 @@ def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, see
             fas, variances = [], []
             for _ in range(empirical):
                 cloud = gaussian_cluster(n, points, std=float(np.sqrt(sigma2)), seed=int(master.integers(2**63)))
-                summary = spectral_summary(ClusterView(cloud, np.arange(points)))
+                summary = spectral_summary(ClusterView(cloud))
                 fas.append(fractional_anisotropy(summary))
                 variances.append(float(var_lambda(summary)))
             row["measured_fa_mean"] = sum(fas) / empirical

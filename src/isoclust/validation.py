@@ -1,8 +1,9 @@
 """Internal cluster validation measures, for use alongside the
 isotropy measures.  Definitions follow the standard literature forms;
 edge behavior is pinned down explicitly (singleton silhouette is 0,
-coincident centroids and zero dispersion are errors).  Silhouette and
-Calinski-Harabasz read one cluster-ordered gather of the member rows.
+coincident centroids and zero dispersion are errors).  A clustering is
+at least 2 cluster views of one dimension; silhouette and
+Calinski-Harabasz read their points stacked in view order.
 Silhouette reduces the pairwise distances to per-cluster sums per
 point, filled one pair of clusters (small clusters merged into groups)
 at a time: a pair whose distance tile fits in 16 MiB is computed once
@@ -41,20 +42,19 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     return float(pdist(view.points).mean())
 
 
-def _same_parent(views: list[ClusterView]):
+def _check_clustering(views: list[ClusterView]) -> None:
     if len(views) < 2:
         raise DataError("need at least 2 clusters")
-    parent = views[0].parent
-    if any(v.parent is not parent for v in views):
-        raise DataError("clusters belong to different point clouds")
-    return parent
+    dims = sorted({v.n_dims for v in views})
+    if len(dims) > 1:
+        raise DataError(f"clusters have different dimensions: {dims}")
 
 
 def _stack(views: list[ClusterView]):
-    """Every cluster's member rows in view order, gathered once, and the
-    k+1 row offsets: cluster i owns rows ``starts[i]:starts[i + 1]``."""
-    data = _same_parent(views).data[np.concatenate([v.indices for v in views])]
-    return data, np.cumsum([0] + [v.size for v in views])
+    """Every cluster's points in view order, in one array, and the k+1
+    row offsets: cluster i owns rows ``starts[i]:starts[i + 1]``."""
+    _check_clustering(views)
+    return np.concatenate([v.points for v in views]), np.cumsum([0] + [v.size for v in views])
 
 
 def _groups(starts):
@@ -176,7 +176,7 @@ def davies_bouldin(views: list[ClusterView]) -> float:
     centroid separation.  Lower is better; 0 only in the ideal case.
     Coincident centroids raise; an overflowing separation is a ``NumericError``.
     """
-    _same_parent(views)
+    _check_clustering(views)
     k = len(views)
     s = np.array([v.mu for v in views])
     cents = np.array([v.centroid for v in views])

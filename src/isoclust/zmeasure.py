@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterView, DataError, center_and_scale, timed
+from .core import ClusterView, DataError, NumericError, center_and_scale, check_bounds, timed
 from .spectral import SpectralSummary, spectral_summary
 from .synth import gaussian_cluster
 
@@ -70,7 +70,7 @@ class DirectionSet:
             v = v[None, :]
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataError(f"direction set must be a non-empty 2-D array, got shape {v.shape}")
-        norms = np.linalg.norm(v, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v))  # no |B| x n temporary
         # written as "all within" so that a NaN norm fails it
         if not np.all(np.abs(norms - 1.0) <= 1e-10):
             raise DataError("direction set contains non-unit vectors")
@@ -111,7 +111,8 @@ def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, n_dims))
     norms = np.linalg.norm(raw, axis=1)
-    return DirectionSet(raw / norms[:, None])
+    raw /= norms[:, None]
+    return DirectionSet(raw)
 
 
 def z_raw(view: ClusterView, a) -> float:
@@ -206,7 +207,8 @@ def run_sweep(dims, points: int, repeats: int, counts, seed: int) -> list[dict]:
     """Mean isotropy and wall-clock per (dimension, method) over fresh
     Gaussian clusters.  Methods: eigenvector probing plus random
     probing at each requested direction count, one row per probe in
-    request order (a repeated count gives a repeated row)."""
+    request order (a repeated count gives a repeated row).  A mean
+    isotropy outside [0, 1] raises ``NumericError``."""
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
     master = np.random.default_rng(seed)
@@ -221,20 +223,25 @@ def run_sweep(dims, points: int, repeats: int, counts, seed: int) -> list[dict]:
         # past the last repeat rerun its cluster and feed the medians only
         for r in range(max(repeats, 3)):
             if r < repeats:
-                view = ClusterView(gaussian_cluster(dim, points, seed=int(data_seeds[i, r])), np.arange(points))
+                view = ClusterView(gaussian_cluster(dim, points, seed=int(data_seeds[i, r])))
             dir_seed = int(dir_seeds[i, min(r, repeats - 1)])
             for j, (_, count) in enumerate(probes):
                 value, seconds = timed(isotropy_vec, view) if count is None else timed(isotropy_rnd, view, count, dir_seed)
                 values[j].append(value)
                 times[j].append(seconds)
         for (method, count), vals, secs in zip(probes, values, times):
+            mean = sum(vals[:repeats]) / repeats
+            try:
+                check_bounds(f"i_{method}", mean)
+            except NumericError as exc:
+                raise NumericError(f"dim={dim}, vectors={count}: {exc}") from None
             rows.append(
                 {
                     "dim": dim,
                     "method": method,
                     "vectors": count,
                     "repeats": repeats,
-                    "mean_isotropy": sum(vals[:repeats]) / repeats,
+                    "mean_isotropy": mean,
                     "mean_seconds": sum(secs[:repeats]) / repeats,
                     "median_seconds": statistics.median(secs),
                 }

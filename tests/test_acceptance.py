@@ -42,7 +42,7 @@ def _report(cid: str, ok: bool, elapsed: float, budget: float, detail: str) -> N
 
 
 def as_view(cloud: PointCloud) -> ClusterView:
-    return ClusterView(cloud, np.arange(cloud.n_points))
+    return ClusterView(cloud)
 
 
 def view_of(points) -> ClusterView:

@@ -142,6 +142,18 @@ def test_read_csv_skips_blank_lines(tmp_path):
         read_cloud_csv(write_text(tmp_path / "gaps_bad.csv", "x,y\n1,2\n\n\n3,oops\n"))
 
 
+def test_an_oversized_field_is_a_data_error(tmp_path):
+    # csv refuses a field longer than its 131,072-character limit
+    big = write_text(tmp_path / "big.csv", "x,y\n1,2\n" + "1" * 140_000 + ",3\n4,5\n")
+    proc = subprocess.run([sys.executable, "-m", "isoclust.cli", "measure", "--input", big, "--kmeans", "1",
+                           "--output", str(tmp_path / "r.json")],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert f"isoclust: data error: {big} row 3: field larger than field limit (131072)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
 @pytest.mark.parametrize("labelled", [False, True], ids=["features", "label_column"])
 def test_read_csv_memory_is_about_the_float_data(tmp_path, labelled):
     # 20,000 x 50 floats are 7.6 MiB; a list of Python floats per row took 40.7 MiB
@@ -518,6 +530,16 @@ def test_cluster_default_sidecar_is_checked_before_the_input_is_read(tmp_path, m
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_transform_default_rbf_sidecar_is_checked_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_cloud_csv", fail_if_read)
+    small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
+    sidecar = tmp_path / "t.csv.rbf.json"
+    sidecar.mkdir()
+    assert main(["transform", "--input", small, "--components", "4", "--output", str(tmp_path / "t.csv")]) == 3
+    assert f"the RBF map sidecar {sidecar}: Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv", "t.csv.rbf.json"]
+
+
 def test_flags_are_checked_before_the_input_is_read(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "read_cloud_csv", fail_if_read)
     small = write_text(tmp_path / "small.csv", "x,y\n1,2\n3,4\n5,7\n")
@@ -855,6 +877,19 @@ def test_sweep_csv_structure_and_value_determinism(tmp_path):
     assert all(0 < float(r["mean_isotropy"]) <= 1 for r in rows1)
 
 
+def test_sweep_checks_the_isotropy_bound(tmp_path, monkeypatch, capsys):
+    from isoclust import NumericError, zmeasure
+
+    monkeypatch.setattr(zmeasure, "isotropy_rnd", lambda view, count, seed: 1.5)
+    with pytest.raises(NumericError, match=r"dim=3, vectors=10: i_rnd = 1.5 outside documented bound"):
+        run_sweep([3], points=10, repeats=1, counts=[10], seed=0)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--dims", "3", "--points", "10", "--repeats", "1", "--vectors", "10",
+                 "--output", str(out)]) == 4
+    assert "i_rnd = 1.5 outside documented bound [0.0, 1.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_repeats():
     with pytest.raises(DataError):
         run_sweep([3], points=10, repeats=0, counts=[10], seed=0)
@@ -885,7 +920,7 @@ def test_sweep_single_repeat_values_come_from_one_run():
     master = np.random.default_rng(3)
     data_seed = int(master.integers(2**63, size=(1, 1))[0, 0])
     cloud = gaussian_cluster(4, 20, seed=data_seed)
-    view = ClusterView(cloud, np.arange(20))
+    view = ClusterView(cloud)
     assert rows[0]["mean_isotropy"] == pytest.approx(isotropy_vec(view), abs=1e-12)
 
 

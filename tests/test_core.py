@@ -57,8 +57,20 @@ def test_split_clusters_orders_by_id():
     cloud = PointCloud([[0, 0], [10, 0], [1, 0], [11, 0]])
     views = split_clusters(cloud, ClusterAssignment([0, 1, 0, 1]))
     assert [v.cluster_id for v in views] == [0, 1]
-    assert views[0].indices.tolist() == [0, 2]
-    assert views[1].indices.tolist() == [1, 3]
+    assert views[0].points.tolist() == [[0, 0], [1, 0]]
+    assert views[1].points.tolist() == [[10, 0], [11, 0]]
+
+
+def test_split_clusters_gathers_the_rows_once():
+    cloud = PointCloud(np.arange(12.0).reshape(6, 2))
+    views = split_clusters(cloud, ClusterAssignment([2, 0, 1, 0, 2, 1]))
+    assert all(v.points is v.points for v in views)
+    # every view is a slice of one cluster-ordered copy, not of the input
+    gathered = views[0].points.base
+    assert gathered.shape == cloud.data.shape
+    assert not np.shares_memory(gathered, cloud.data)
+    assert all(np.shares_memory(v.points, gathered) for v in views)
+    np.testing.assert_array_equal(np.concatenate([v.points for v in views]), cloud.data[[1, 3, 2, 5, 0, 4]])
 
 
 def test_split_clusters_length_mismatch():
@@ -68,26 +80,19 @@ def test_split_clusters_length_mismatch():
 
 
 def test_views_reference_parent_rows():
-    # a view must observe later changes to the parent cloud: no copies
+    # a view's points are its cloud's array: no copies
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    view = ClusterView(cloud, [0, 2])
+    view = ClusterView(cloud)
+    assert view.points is cloud.data
+    assert (view.size, view.n_dims) == (3, 2)
     cloud.data[2, 0] = 5.0
-    assert view.points[1, 0] == 5.0
-
-
-def test_view_rejects_empty_and_out_of_range_indices():
-    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(DataError, match="at least one member"):
-        ClusterView(cloud, [])
-    for indices in ([0, 3], [-1, 1]):
-        with pytest.raises(DataError, match="out-of-range member index for cloud of 3 points"):
-            ClusterView(cloud, indices)
+    assert view.points[2, 0] == 5.0
 
 
 def test_center_and_scale_hand_case():
     # cluster {(2,2),(4,2)}: centroid (3,2), mu = 1
     cloud = PointCloud([[2, 2], [4, 2]])
-    view = ClusterView(cloud, [0, 1])
+    view = ClusterView(cloud)
     np.testing.assert_allclose(center_and_scale(view, [4, 2]), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(
         center_and_scale(view, [[2, 2], [4, 2]]), [[-1, 0], [1, 0]], atol=1e-12
@@ -98,7 +103,7 @@ def test_center_and_scale_zero_mean_invariant():
     rng = np.random.default_rng(11)
     for _ in range(20):
         pts = rng.normal(size=(rng.integers(2, 40), rng.integers(1, 6)))
-        view = ClusterView(PointCloud(pts), np.arange(len(pts)))
+        view = ClusterView(PointCloud(pts))
         scaled = center_and_scale(view, pts)
         assert np.abs(scaled.mean(axis=0)).max() < 1e-10
         # mean norm must be 1 after scaling
@@ -107,14 +112,14 @@ def test_center_and_scale_zero_mean_invariant():
 
 def test_center_and_scale_degenerate():
     cloud = PointCloud([[1, 1], [1, 1]])
-    view = ClusterView(cloud, [0, 1])
+    view = ClusterView(cloud)
     assert view.degenerate
     with pytest.raises(DataError, match="degenerate"):
         center_and_scale(view, [1, 1])
 
 
 def test_center_and_scale_dim_mismatch():
-    view = ClusterView(PointCloud([[0, 0], [1, 1]]), [0, 1])
+    view = ClusterView(PointCloud([[0, 0], [1, 1]]))
     with pytest.raises(DataError):
         center_and_scale(view, [1, 2, 3])
 

@@ -233,7 +233,7 @@ def test_prediction_matches_sampled_clusters():
     measured = []
     for seed in range(5):
         data = np.random.default_rng(seed).normal(size=(points, dims))
-        view = ClusterView(PointCloud(data), np.arange(points))
+        view = ClusterView(PointCloud(data))
         measured.append(fractional_anisotropy(spectral_summary(view)))
     assert np.mean(measured) == pytest.approx(predicted, rel=0.1)
 

@@ -13,7 +13,7 @@ from isoclust import (
 
 def view_of(points) -> ClusterView:
     pts = np.asarray(points, dtype=float)
-    return ClusterView(PointCloud(pts), np.arange(len(pts)))
+    return ClusterView(PointCloud(pts))
 
 
 CROSS = [[1, 0], [-1, 0], [0, 1], [0, -1]]

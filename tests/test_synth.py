@@ -15,7 +15,7 @@ from isoclust import (
 
 
 def as_view(cloud) -> ClusterView:
-    return ClusterView(cloud, np.arange(cloud.n_points))
+    return ClusterView(cloud)
 
 
 def test_gaussian_cluster_shape_and_determinism():

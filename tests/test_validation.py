@@ -291,12 +291,12 @@ def test_silhouette_needs_two_clusters():
         silhouette(make_views([[0, 0], [1, 1]], [0, 0]))
 
 
-def test_mixed_parents_rejected():
-    a = make_views([[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
-    b = make_views([[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
+def test_mismatched_dimensions_rejected():
+    flat = make_views([[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
+    tall = make_views([[0, 0, 0], [1, 1, 1], [5, 5, 5], [6, 6, 6]], [0, 0, 1, 1])
     for index in (silhouette, davies_bouldin, calinski_harabasz):
-        with pytest.raises(DataError, match="different point clouds"):
-            index([a[0], b[1]])
+        with pytest.raises(DataError, match=r"clusters have different dimensions: \[2, 3\]"):
+            index([flat[0], tall[1]])
 
 
 # --- Davies-Bouldin -----------------------------------------------------------
@@ -358,7 +358,8 @@ def test_calinski_harabasz_errors():
 def clusterings(draw):
     """Integer points, so ties and coincident points occur, in 2-6 clusters
     with singletons allowed.  The views come from ``split_clusters`` or, as
-    a shuffled list, from an arbitrary ordering of each cluster's rows."""
+    a shuffled list, from clouds of each cluster's rows in an arbitrary
+    order."""
     dims = draw(st.integers(1, 3))
     k = draw(st.integers(2, 6))
     n = draw(st.integers(k, 14))
@@ -370,7 +371,7 @@ def clusterings(draw):
         views = split_clusters(cloud, ClusterAssignment(labels))
     else:
         order = draw(st.permutations(range(n)))
-        views = [ClusterView(cloud, [i for i in order if labels[i] == c], c) for c in range(k)]
+        views = [ClusterView(PointCloud([points[i] for i in order if labels[i] == c]), c) for c in range(k)]
         views = draw(st.permutations(views))
     return points, labels, views
 

@@ -27,7 +27,7 @@ E = np.e
 
 def view_of(points) -> ClusterView:
     pts = np.asarray(points, dtype=float)
-    return ClusterView(PointCloud(pts), np.arange(len(pts)))
+    return ClusterView(PointCloud(pts))
 
 
 CROSS = view_of([[1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -82,6 +82,14 @@ def test_random_unit_vectors_deterministic_and_nested():
     # same seed with a larger count extends the smaller set row by row
     big = random_unit_vectors(4, 500, seed=42).vectors
     np.testing.assert_array_equal(big[:100], a)
+
+
+def test_random_unit_vectors_normalise_the_draw_in_place():
+    # the same division as raw / norms[:, None], done on the draw itself
+    for n, count, seed in ((1, 2, 0), (3, 50, 7), (17, 200, 2**40), (1000, 20, 5)):
+        raw = np.random.default_rng(seed).standard_normal((count, n))
+        expected = raw / np.linalg.norm(raw, axis=1)[:, None]
+        assert np.array_equal(random_unit_vectors(n, count, seed).vectors, expected)
 
 
 def test_random_unit_vectors_one_dim():
