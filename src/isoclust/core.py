@@ -144,7 +144,8 @@ class ClusterView:
 
 def split_clusters(cloud: PointCloud, assignment: ClusterAssignment) -> list[ClusterView]:
     """Split a cloud into per-cluster views, ordered by cluster id; each
-    view's cloud is a slice of one copy of the rows in cluster order."""
+    view's cloud is a slice of one copy of the rows in cluster order,
+    which silhouette and Calinski-Harabasz read as it is."""
     if len(assignment) != cloud.n_points:
         raise DataError(
             f"{len(assignment)} labels for {cloud.n_points} points"

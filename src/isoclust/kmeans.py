@@ -10,6 +10,11 @@ exposed and checked to be finite and nonincreasing.
 Lloyd's iteration stops at its exact fixed point, where recomputing the
 centroids leaves every value unchanged, or after ``max_iter``
 iterations; with no tolerance, where the origin lies does not matter.
+
+Besides the data and the N x k distances, a run holds one N x d array
+at a time: the copy whose rows are sorted to count the distinct points,
+the squares of the k-means++ distances (one buffer for every centre)
+and the squares of the final inertia, formed in place.
 """
 
 from __future__ import annotations
@@ -34,15 +39,22 @@ class KMeansResult:
     inertia_history: list[float]
 
 
+def _squares(data: np.ndarray, centre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(data - centre) ** 2`` written into ``out``, which may be ``centre``."""
+    np.subtract(data, centre, out=out)
+    return np.multiply(out, out, out=out)
+
+
 def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(data)
     centroids = np.empty((k, data.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = data[first]
+    squares = np.empty_like(data)
     # an overflowing squared distance becomes inf; only a non-finite sum,
     # checked below, is an error
     with np.errstate(over="ignore"):
-        d2 = ((data - centroids[0]) ** 2).sum(axis=1)
+        d2 = _squares(data, centroids[0], squares).sum(axis=1)
         for i in range(1, k):
             total = d2.sum()
             if not np.isfinite(total):
@@ -53,8 +65,19 @@ def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             else:
                 choice = int(rng.integers(n))
             centroids[i] = data[choice]
-            d2 = np.minimum(d2, ((data - centroids[i]) ** 2).sum(axis=1))
+            np.minimum(d2, _squares(data, centroids[i], squares).sum(axis=1), out=d2)
     return centroids
+
+
+def _count_distinct_rows(data: np.ndarray) -> int:
+    """The number of distinct rows, as ``np.unique(data, axis=0)`` counts
+    them, from one copy: each row's bytes sorted as one void value.
+    Adding +0.0 turns -0.0 into 0.0, which compares equal to it but has
+    other bytes; every other finite value has bytes of its own."""
+    rows = np.add(data, 0.0, order="C")
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _assign(data: np.ndarray, centroids: np.ndarray):
@@ -108,7 +131,7 @@ def kmeans(
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
     if k > cloud.n_points:
         raise DataError(f"k = {k} exceeds the number of points ({cloud.n_points})")
-    n_distinct = len(np.unique(data, axis=0))
+    n_distinct = _count_distinct_rows(data)
     if k > n_distinct:
         raise DataError(f"k = {k} exceeds the number of distinct points ({n_distinct})")
 
@@ -148,7 +171,8 @@ def kmeans(
 
     labels, _, _, moved = _assign(data, centroids)
     reseeded |= moved
-    inertia = float(((data - centroids[labels]) ** 2).sum())
+    diff = centroids[labels]
+    inertia = float(_squares(data, diff, diff).sum())
 
     return KMeansResult(
         assignment=ClusterAssignment(labels),

@@ -3,7 +3,8 @@ isotropy measures.  Definitions follow the standard literature forms;
 edge behavior is pinned down explicitly (singleton silhouette is 0,
 coincident centroids and zero dispersion are errors).  A clustering is
 at least 2 cluster views of one dimension; silhouette and
-Calinski-Harabasz read their points stacked in view order.
+Calinski-Harabasz read their points stacked in view order, which for
+the views of ``split_clusters`` is the buffer they already share.
 Silhouette reduces the pairwise distances to per-cluster sums per
 point, filled one pair of clusters (small clusters merged into groups)
 at a time: a pair whose distance tile fits in 16 MiB is computed once
@@ -52,9 +53,26 @@ def _check_clustering(views: list[ClusterView]) -> None:
 
 def _stack(views: list[ClusterView]):
     """Every cluster's points in view order, in one array, and the k+1
-    row offsets: cluster i owns rows ``starts[i]:starts[i + 1]``."""
+    row offsets: cluster i owns rows ``starts[i]:starts[i + 1]``.
+
+    Views that are consecutive row slices of one C-contiguous buffer, in
+    view order, as ``split_clusters`` makes them, hand over that buffer
+    without a copy; other views are concatenated.
+    """
     _check_clustering(views)
-    return np.concatenate([v.points for v in views]), np.cumsum([0] + [v.size for v in views])
+    starts = np.cumsum([0] + [v.size for v in views])
+    buffer = views[0].points.base
+    if (
+        isinstance(buffer, np.ndarray)
+        and buffer.flags.c_contiguous
+        and buffer.shape == (starts[-1], views[0].n_dims)
+        and all(
+            v.points.flags.c_contiguous and v.points.ctypes.data == buffer[lo:].ctypes.data
+            for v, lo in zip(views, starts)
+        )
+    ):
+        return buffer, starts
+    return np.concatenate([v.points for v in views]), starts
 
 
 def _groups(starts):

@@ -36,9 +36,11 @@ equal to m,
     s = sum_{x != m} exp(x - m),   log sum exp(x) = log1p(s / k) + log k + m
 
 (s / k is taken only where s != 0).  Probing a cluster C with a direction
-set B holds one |C| x |B| float64 product, one work array of the same
-size and one |C| x |B| bool mask of the maxima: 17 bytes per product
-entry.
+set B holds one |C| x |B| float64 product, 8 bytes per entry, plus one
+work block of about 1 MiB: the exponentials and the mask of the maxima
+are formed a block of rows at a time, and the column sums carried from
+block to block add the rows in the order one sum over the whole product
+would.
 
 ``run_sweep`` compares the two choices, on value and cost, across
 dimensionalities of fresh Gaussian clusters.
@@ -56,6 +58,9 @@ from .spectral import SpectralSummary, spectral_summary
 from .synth import gaussian_cluster
 
 DEFAULT_RND_COUNT = 1000
+# Byte budget of one block of rows streamed through a work buffer: the
+# probes' exponentials and the norms of a random direction draw.
+_WORK_BYTES = 2**20
 
 
 @dataclass
@@ -110,9 +115,18 @@ def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     check_direction_count(count)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, n_dims))
-    norms = np.linalg.norm(raw, axis=1)
-    raw /= norms[:, None]
+    # a row's norm reduces that row alone, so blocks of rows give the same
+    # bits without a count x n temporary of squares
+    step = _block_rows(n_dims)
+    for r0 in range(0, count, step):
+        block = raw[r0 : r0 + step]
+        block /= np.linalg.norm(block, axis=1)[:, None]
     return DirectionSet(raw)
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows of ``n_cols`` float64 values that fit in ``_WORK_BYTES``, at least one."""
+    return max(1, _WORK_BYTES // (8 * n_cols))
 
 
 def z_raw(view: ClusterView, a) -> float:
@@ -132,12 +146,11 @@ def z_prime(view: ClusterView, a) -> float:
     if a.shape != (view.n_dims,):
         raise DataError(f"direction has shape {a.shape}, cluster has {view.n_dims} dims")
     x = center_and_scale(view, view.points) @ a
-    return float(np.exp(_log_sum_exp(x, np.empty_like(x))))
+    return float(np.exp(_log_sum_exp(x)))
 
 
-def _log_sum_exp(e: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log sum exp(e) along axis 0, using ``work`` (shaped like ``e``) as
-    scratch; ``e`` is left as it was.
+def _log_sum_exp(e: np.ndarray) -> np.ndarray:
+    """log sum exp(e) along axis 0; ``e`` is left as it was.
 
     The value is bitwise that of scipy's ``logsumexp(e, axis=0)``
     for finite ``e``, which a probe's exponents are: a scaled member lies
@@ -147,26 +160,50 @@ def _log_sum_exp(e: np.ndarray, work: np.ndarray) -> np.ndarray:
     finite, at least one entry equals it (k >= 1), and each other entry
     adds at most 1 to s, so s / k lies in [0, len(e) - 1] and both
     logarithms take a finite argument of at least 1.
+
+    ``e`` is C-contiguous, as a product is.  With at least 2 columns it
+    is streamed through one work block of ``_block_rows`` rows plus a
+    row 0 that carries the column sums: numpy's sum along axis 0 of such
+    an array adds whole rows in order, so summing the carried row with
+    the next block's exponentials continues that one sum.  A single
+    column or a 1-D ``e`` is summed pairwise along its length, which
+    blocks would not repeat, so it is handled in one pass over a work
+    array of its own size.
     """
     amax = e.max(0)
-    ties = e == amax
-    cnt = ties.sum(0, dtype=np.float64)
-    np.subtract(e, amax, out=work)
-    work[ties] = -np.inf
-    np.exp(work, out=work)
-    s = work.sum(0)
+    if e.ndim == 1 or e.shape[1] == 1:
+        ties = e == amax
+        work = e - amax
+        work[ties] = -np.inf
+        np.exp(work, out=work)
+        cnt = ties.sum(0, dtype=np.float64)
+        s = work.sum(0)
+    else:
+        step = min(_block_rows(e.shape[1]), len(e))
+        work = np.zeros((step + 1, e.shape[1]))
+        ties = np.empty((step, e.shape[1]), dtype=bool)
+        cnt, s = np.zeros(e.shape[1]), np.empty(e.shape[1])
+        for r0 in range(0, len(e), step):
+            block = e[r0 : r0 + step]
+            rows, tied = work[1 : len(block) + 1], ties[: len(block)]
+            np.equal(block, amax, out=tied)
+            cnt += tied.sum(0)
+            np.subtract(block, amax, out=rows)
+            rows[tied] = -np.inf
+            np.exp(rows, out=rows)
+            work[: len(block) + 1].sum(0, out=s)
+            work[0] = s
     s = np.where(s == 0, s, s / cnt)
     return np.log1p(s) + np.log(cnt) + amax
 
 
 def _log_z_both(scaled: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """log Z' for every direction, then for every negated direction, from
-    one product and one work array: -B negates the product in place."""
+    one product: -B negates the product in place."""
     e = scaled @ vectors.T
-    work = np.empty_like(e)
-    plus = _log_sum_exp(e, work)
+    plus = _log_sum_exp(e)
     np.negative(e, out=e)
-    return np.concatenate([plus, _log_sum_exp(e, work)])
+    return np.concatenate([plus, _log_sum_exp(e)])
 
 
 def isotropy_given_b(view: ClusterView, b: DirectionSet) -> float:

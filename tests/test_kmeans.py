@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,6 +54,27 @@ def test_k_validation():
     for max_iter in (0, -1):
         with pytest.raises(DataError, match="max_iter"):
             kmeans(cloud_of([[0.0], [1.0], [5.0]]), 2, max_iter=max_iter)
+
+
+def test_distinct_points_count_signed_zeros_as_one():
+    # -0.0 == 0.0: the first two points are one, as np.unique counts them
+    with pytest.raises(DataError, match=r"exceeds the number of distinct points \(2\)"):
+        kmeans(cloud_of([[0, 1], [-0.0, 1], [2, 3]]), 3)
+    assert kmeans(cloud_of([[0, 1], [-0.0, 1], [2, 3]]), 2).inertia == 0.0
+
+
+def test_kmeans_holds_about_one_copy_of_the_data():
+    # 20,000 x 20 points (3.05 MiB): the distinct-row count, the k-means++
+    # distances and the final inertia each need one N x d array, one at a
+    # time; the distance and label arrays are N x k and N
+    cloud = cloud_of(np.random.default_rng(12).normal(size=(20_000, 20)))
+    tracemalloc.start()
+    try:
+        kmeans(cloud, 3, seed=0, max_iter=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cloud.data.nbytes
 
 
 def test_deterministic_for_seed():

@@ -286,6 +286,36 @@ def test_silhouette_memory_is_one_tile_when_every_tile_fits():
     assert peak < 8 * 1250**2 + 3e6
 
 
+def test_split_views_hand_their_buffer_to_the_stack():
+    rng = np.random.default_rng(11)
+    views = make_views(rng.normal(size=(30, 3)), rng.permutation(np.arange(30) % 4))
+    data, starts = validation._stack(views)
+    buffer = views[0].points.base
+    assert data is buffer and all(np.shares_memory(data, v.points) for v in views)
+    np.testing.assert_array_equal(starts, [0, 8, 16, 23, 30])
+    # out of view order, or a subset, the views are concatenated
+    for reordered in (views[::-1], views[1:]):
+        stacked, _ = validation._stack(reordered)
+        assert not np.shares_memory(stacked, buffer)
+        np.testing.assert_array_equal(stacked, np.concatenate([v.points for v in reordered]))
+
+
+@given(float_clusterings())
+def test_separately_built_views_give_the_same_indices_bitwise(views):
+    # the concatenated copy holds the same values in the same layout as the
+    # split buffer, so every sum runs in the same order
+    copies = [ClusterView(PointCloud(v.points.copy()), v.cluster_id) for v in views]
+    assert not np.shares_memory(validation._stack(copies)[0], views[0].points)
+    assert silhouette(copies) == silhouette(views)
+    try:
+        expected = calinski_harabasz(views)
+    except DataError:
+        with pytest.raises(DataError):
+            calinski_harabasz(copies)
+    else:
+        assert calinski_harabasz(copies) == expected
+
+
 def test_silhouette_needs_two_clusters():
     with pytest.raises(DataError):
         silhouette(make_views([[0, 0], [1, 1]], [0, 0]))

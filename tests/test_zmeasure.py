@@ -85,11 +85,25 @@ def test_random_unit_vectors_deterministic_and_nested():
 
 
 def test_random_unit_vectors_normalise_the_draw_in_place():
-    # the same division as raw / norms[:, None], done on the draw itself
-    for n, count, seed in ((1, 2, 0), (3, 50, 7), (17, 200, 2**40), (1000, 20, 5)):
+    # the same division as raw / norms[:, None], done on the draw itself in
+    # blocks of rows: one block, several (1 dim: 131,072 rows a block) and
+    # a last partial one
+    for n, count, seed in ((1, 2, 0), (3, 50, 7), (17, 200, 2**40), (1000, 20, 5), (1, 300_000, 3), (1000, 300, 9)):
         raw = np.random.default_rng(seed).standard_normal((count, n))
         expected = raw / np.linalg.norm(raw, axis=1)[:, None]
         assert np.array_equal(random_unit_vectors(n, count, seed).vectors, expected)
+
+
+def test_random_unit_vectors_hold_the_draw_and_one_block():
+    # 4,000 x 1,000: the draw is 30.5 MiB; norms over the whole draw would
+    # add a second array of squares that size
+    tracemalloc.start()
+    try:
+        vectors = random_unit_vectors(1000, 4000, seed=4).vectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vectors.nbytes + 4 * 2**20
 
 
 def test_random_unit_vectors_one_dim():
@@ -281,7 +295,24 @@ def exponent_arrays(draw):
 @given(exponent_arrays())
 def test_log_sum_exp_is_scipys_bitwise(e):
     kept = e.copy()
-    assert np.array_equal(zmeasure._log_sum_exp(e, np.empty_like(e)), logsumexp(e, axis=0))
+    assert np.array_equal(zmeasure._log_sum_exp(e), logsumexp(e, axis=0))
+    assert np.array_equal(e, kept)
+
+
+def work_bytes_for(e, rows):
+    """A ``_WORK_BYTES`` whose blocks of ``e`` are ``rows`` rows long."""
+    return 8 * (e.shape[1] if e.ndim == 2 else 1) * rows
+
+
+@given(exponent_arrays(), st.data())
+def test_streamed_log_sum_exp_is_scipys_bitwise(e, data):
+    # blocks of a few rows, at least three of them where e has 3 rows: the
+    # carried column sums add the rows in the order of one sum over e
+    rows = data.draw(st.integers(1, max(1, len(e) // 3)))
+    kept = e.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zmeasure, "_WORK_BYTES", work_bytes_for(e, rows))
+        assert np.array_equal(zmeasure._log_sum_exp(e), logsumexp(e, axis=0))
     assert np.array_equal(e, kept)
 
 
@@ -310,19 +341,25 @@ def probed_clusters(draw):
     return view, vectors
 
 
-@given(probed_clusters())
-def test_log_z_both_is_scipys_bitwise(probe):
+@given(probed_clusters(), st.sampled_from([None, 1, 2, 5]))
+def test_log_z_both_is_scipys_bitwise(probe, rows):
+    # rows: the default 1 MiB block, or blocks of a few rows, so that a
+    # cluster spans several of them
     view, vectors = probe
     scaled = center_and_scale(view, view.points)
     exponents = scaled @ vectors.T
     expected = np.concatenate([logsumexp(exponents, axis=0), logsumexp(-exponents, axis=0)])
-    assert np.array_equal(zmeasure._log_z_both(scaled, vectors), expected)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(zmeasure, "_WORK_BYTES", work_bytes_for(exponents, rows))
+        assert np.array_equal(zmeasure._log_z_both(scaled, vectors), expected)
 
 
-def test_probe_holds_one_product_one_work_array_and_a_mask():
-    # 20,000 x 1,000 exponents: the product, one work array and a bool mask
-    # come to 324 MiB; scipy's logsumexp on the product and its negation
-    # peaked at 1,095 MiB
+def test_probe_holds_one_product_and_one_work_block():
+    # 20,000 x 1,000 exponents: the product is 153 MiB, and with the scaled
+    # points and the 1 MiB work block the peak is 162 MiB; a work array and
+    # a bool mask the size of the product took it to 332 MiB, and scipy's
+    # logsumexp on the product and its negation to 1,095 MiB
     view = view_of(np.random.default_rng(5).standard_t(3, size=(20_000, 50)))
     b = random_unit_vectors(50, 1000, seed=1)
     tracemalloc.start()
@@ -332,7 +369,7 @@ def test_probe_holds_one_product_one_work_array_and_a_mask():
     finally:
         tracemalloc.stop()
     assert 0.0 < value <= 1.0
-    assert peak < 400 * 2**20
+    assert peak < 200 * 2**20
 
 
 # --- the Jensen oracle ----------------------------------------------------------
