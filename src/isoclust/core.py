@@ -5,7 +5,9 @@ A :class:`PointCloud` is an immutable-by-convention matrix of points
 point to one of k contiguous cluster ids.  A :class:`ClusterView` is one
 cluster whose members are a cloud's points; ``points`` is that cloud's
 array, never a copy.  :func:`split_clusters` gathers a clustering's rows
-once, in cluster order.  :func:`timed` is the package's one clock.
+once, in cluster order, into a :class:`Clustering`: the cluster views,
+each a slice of that one buffer, which the whole-clustering indices read
+as it is.  :func:`timed` is the package's one clock.
 """
 
 from __future__ import annotations
@@ -142,21 +144,32 @@ class ClusterView:
         return f"ClusterView(id={self.cluster_id}, size={self.size}, n_dims={self.n_dims})"
 
 
-def split_clusters(cloud: PointCloud, assignment: ClusterAssignment) -> list[ClusterView]:
-    """Split a cloud into per-cluster views, ordered by cluster id; each
-    view's cloud is a slice of one copy of the rows in cluster order,
-    which silhouette and Calinski-Harabasz read as it is."""
+class Clustering(tuple):
+    """The views of one clustering, in cluster-id order, and the buffer
+    they share: ``data`` holds every point in cluster order, and cluster
+    i owns rows ``starts[i]:starts[i + 1]``, which are its view's points."""
+
+    def __new__(cls, data: np.ndarray, starts: np.ndarray):
+        bounds = enumerate(zip(starts, starts[1:]))
+        self = super().__new__(cls, (ClusterView(PointCloud(data[lo:hi]), cluster_id=i) for i, (lo, hi) in bounds))
+        self.data = data
+        self.starts = starts
+        return self
+
+    def __getnewargs__(self):  # copy and pickle rebuild the views over the copied buffer
+        return self.data, self.starts
+
+
+def split_clusters(cloud: PointCloud, assignment: ClusterAssignment) -> Clustering:
+    """Split a cloud into its clusters: one copy of the rows, gathered in
+    cluster order, that each cluster's view slices."""
     if len(assignment) != cloud.n_points:
         raise DataError(
             f"{len(assignment)} labels for {cloud.n_points} points"
         )
     order = np.argsort(assignment.labels, kind="stable")
-    bounds = np.searchsorted(assignment.labels[order], np.arange(assignment.k + 1))
-    data = cloud.data[order]
-    return [
-        ClusterView(PointCloud(data[bounds[i]:bounds[i + 1]]), cluster_id=i)
-        for i in range(assignment.k)
-    ]
+    starts = np.concatenate([[0], np.cumsum(assignment.sizes())])
+    return Clustering(cloud.data[order], starts)
 
 
 def center_and_scale(view: ClusterView, point) -> np.ndarray:

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 from .core import (
     ClusterAssignment,
+    Clustering,
     ClusterView,
     DataError,
     MetricReport,
@@ -62,7 +63,7 @@ class Metric:
 
     per_cluster: Callable[[Cluster], float] | None = None
     global_name: str | None = None
-    of_clustering: Callable[[list[ClusterView]], float] | None = None
+    of_clustering: Callable[[Clustering], float] | None = None
     spectral: bool = False  # reads the cluster's spectral summary
 
 

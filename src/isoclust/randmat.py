@@ -157,17 +157,17 @@ def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, see
     """Spectral-law predictions per dimensionality, with optional
     empirical columns from ``empirical`` sampled Gaussian clusters
     (mu = 0 only; otherwise, and with 0 clusters, they are None).
-    A predicted or measured FA or Var(lambda) outside its documented
-    bound raises ``NumericError``."""
+    Every row's prediction, and so every check of the grid, comes before
+    the first cluster is sampled.  A predicted or measured FA or
+    Var(lambda) outside its documented bound raises ``NumericError``."""
     if empirical < 0:
         raise DataError(f"empirical must be >= 0, got {empirical}")
     rows = []
-    master = np.random.default_rng(seed)
     for n in dims:
         params = MpParams(points=points, dims=n, sigma2=sigma2, mu=mu)
         lo, hi = mp_support(params)
         moments = mp_moments(params)
-        row = {
+        rows.append({
             "dims": n,
             "points": points,
             "sigma2": sigma2,
@@ -181,7 +181,10 @@ def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, see
             "expected_var_lambda": expected_var_lambda(params),
             "measured_fa_mean": None,
             "measured_var_lambda_mean": None,
-        }
+        })
+    master = np.random.default_rng(seed)
+    for row in rows:
+        n = row["dims"]
         if empirical > 0 and mu == 0.0:
             fas, variances = [], []
             for _ in range(empirical):
@@ -202,5 +205,4 @@ def run_mp_rows(points: int, dims, sigma2: float, mu: float, empirical: int, see
                     check_bounds(metric, row[column])
                 except NumericError as exc:
                     raise NumericError(f"dims={n}, {column}: {exc}") from None
-        rows.append(row)
     return rows

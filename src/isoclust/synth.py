@@ -13,12 +13,18 @@ SHAPE_KINDS = ("s_curve", "l_shape")
 L_ARM_WIDTH = 0.2
 
 
+def check_cluster_shape(n_dims: int, count: int) -> None:
+    """A sampled cluster needs ``count >= 1`` points in ``n_dims >= 1``
+    dimensions; anything else is a ``DataError``."""
+    if count < 1 or n_dims < 1:
+        raise DataError(f"need count >= 1 and n_dims >= 1, got ({count}, {n_dims})")
+
+
 def gaussian_cluster(
     n_dims: int, count: int, mean: float = 0.0, std: float = 1.0, seed: int = 0
 ) -> PointCloud:
     """Isotropic Gaussian cluster: count points, per-axis deviation std."""
-    if count < 1 or n_dims < 1:
-        raise DataError(f"need count >= 1 and n_dims >= 1, got ({count}, {n_dims})")
+    check_cluster_shape(n_dims, count)
     if std <= 0:
         raise DataError(f"std must be positive, got {std}")
     rng = np.random.default_rng(seed)
@@ -27,13 +33,12 @@ def gaussian_cluster(
 
 def anisotropic_gaussian(n_dims: int, count: int, stds, seed: int = 0) -> PointCloud:
     """Axis-aligned Gaussian cluster with one deviation per axis."""
+    check_cluster_shape(n_dims, count)
     stds = np.asarray(stds, dtype=np.float64)
     if stds.shape != (n_dims,):
         raise DataError(f"need one std per axis: got shape {stds.shape} for {n_dims} dims")
     if np.any(stds <= 0):
         raise DataError("all stds must be positive")
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     return PointCloud(rng.standard_normal((count, n_dims)) * stds)
 
@@ -67,8 +72,7 @@ def shape_cluster(kind: str, count: int, noise: float = 0.0, seed: int = 0) -> P
     """
     if kind not in SHAPE_KINDS:
         raise DataError(f"unknown shape {kind!r}, expected one of {SHAPE_KINDS}")
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
+    check_cluster_shape(2, count)
     if noise < 0:
         raise DataError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)

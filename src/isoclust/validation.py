@@ -1,10 +1,10 @@
 """Internal cluster validation measures, for use alongside the
 isotropy measures.  Definitions follow the standard literature forms;
 edge behavior is pinned down explicitly (singleton silhouette is 0,
-coincident centroids and zero dispersion are errors).  A clustering is
-at least 2 cluster views of one dimension; silhouette and
-Calinski-Harabasz read their points stacked in view order, which for
-the views of ``split_clusters`` is the buffer they already share.
+coincident centroids and zero dispersion are errors).  The
+whole-clustering indices take the ``Clustering`` of ``split_clusters``,
+at least 2 clusters for all but the size variance; silhouette and
+Calinski-Harabasz read its cluster-ordered buffer as it is.
 Silhouette reduces the pairwise distances to per-cluster sums per
 point, filled one pair of clusters (small clusters merged into groups)
 at a time: a pair whose distance tile fits in 16 MiB is computed once
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import ClusterView, DataError, NumericError
+from .core import Clustering, ClusterView, DataError, NumericError
 
 # Byte budget of one silhouette distance tile: the whole tile of a pair of
 # cluster groups when it fits, else B = _BLOCK_BYTES // (8 * |G_b|) rows of
@@ -43,44 +43,17 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     return float(pdist(view.points).mean())
 
 
-def _check_clustering(views: list[ClusterView]) -> None:
-    if len(views) < 2:
+def _check_clustering(clustering: Clustering) -> None:
+    if len(clustering) < 2:
         raise DataError("need at least 2 clusters")
-    dims = sorted({v.n_dims for v in views})
-    if len(dims) > 1:
-        raise DataError(f"clusters have different dimensions: {dims}")
-
-
-def _stack(views: list[ClusterView]):
-    """Every cluster's points in view order, in one array, and the k+1
-    row offsets: cluster i owns rows ``starts[i]:starts[i + 1]``.
-
-    Views that are consecutive row slices of one C-contiguous buffer, in
-    view order, as ``split_clusters`` makes them, hand over that buffer
-    without a copy; other views are concatenated.
-    """
-    _check_clustering(views)
-    starts = np.cumsum([0] + [v.size for v in views])
-    buffer = views[0].points.base
-    if (
-        isinstance(buffer, np.ndarray)
-        and buffer.flags.c_contiguous
-        and buffer.shape == (starts[-1], views[0].n_dims)
-        and all(
-            v.points.flags.c_contiguous and v.points.ctypes.data == buffer[lo:].ctypes.data
-            for v, lo in zip(views, starts)
-        )
-    ):
-        return buffer, starts
-    return np.concatenate([v.points for v in views]), starts
 
 
 def _groups(starts):
-    """The clusters, in stack order, merged into tile groups.
+    """The clusters, in buffer order, merged into tile groups.
 
     A cluster of at least ``_GROUP_ROWS`` points is a group of its own;
     runs of smaller ones are merged until a group holds that many.  Each
-    group is ``(lo, hi, spans)``: its rows ``lo:hi`` of the stack, and one
+    group is ``(lo, hi, spans)``: its rows ``lo:hi`` of the buffer, and one
     ``(cluster id, lo, hi)`` per member cluster, with rows relative to
     the group's ``lo``.
     """
@@ -148,7 +121,7 @@ def _pair_sums(sums, data, group_a, group_b):
             _slice_sums(y_sums[c0 : c0 + width], chunk, spans_a)
 
 
-def silhouette(views: list[ClusterView]) -> float:
+def silhouette(clustering: Clustering) -> float:
     """Mean silhouette coefficient over all points.
 
     For each point: a = mean distance to its own cluster's other
@@ -169,15 +142,16 @@ def silhouette(views: list[ClusterView]) -> float:
     same order as the full matrix's row slices (a distance is bitwise
     symmetric), so the value is exactly the full-matrix one.
     """
-    data, starts = _stack(views)
+    _check_clustering(clustering)
+    data, starts = clustering.data, clustering.starts
     groups = _groups(starts)
     # sums[p, j]: total distance from point p to the members of cluster j
-    sums = np.empty((len(data), len(views)))
+    sums = np.empty((len(data), len(clustering)))
     for i, group in enumerate(groups):
         for other in groups[i:]:
             _pair_sums(sums, data, group, other)
     sizes = np.diff(starts)
-    own = np.repeat(np.arange(len(views)), sizes)
+    own = np.repeat(np.arange(len(clustering)), sizes)
     rows = np.arange(len(data))
     a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
     sums[rows, own] = np.inf  # b ranges over the other clusters only
@@ -188,16 +162,16 @@ def silhouette(views: list[ClusterView]) -> float:
     return float(np.where(scored, (b - a) / safe, 0.0).mean())
 
 
-def davies_bouldin(views: list[ClusterView]) -> float:
+def davies_bouldin(clustering: Clustering) -> float:
     """Davies-Bouldin index: mean over clusters of the worst
     (S_i + S_j) / M_ij, with S the mean distance to centroid and M the
     centroid separation.  Lower is better; 0 only in the ideal case.
     Coincident centroids raise; an overflowing separation is a ``NumericError``.
     """
-    _check_clustering(views)
-    k = len(views)
-    s = np.array([v.mu for v in views])
-    cents = np.array([v.centroid for v in views])
+    _check_clustering(clustering)
+    k = len(clustering)
+    s = np.array([v.mu for v in clustering])
+    cents = np.array([v.centroid for v in clustering])
     m = cdist(cents, cents)
     off = ~np.eye(k, dtype=bool)
     if not np.isfinite(m[off]).all():
@@ -208,19 +182,20 @@ def davies_bouldin(views: list[ClusterView]) -> float:
     return float(ratios.max(axis=1).mean())
 
 
-def calinski_harabasz(views: list[ClusterView]) -> float:
+def calinski_harabasz(clustering: Clustering) -> float:
     """Calinski-Harabasz index: between/within dispersion ratio
     (BSS / (k-1)) / (WSS / (|E|-k)).  Zero within-cluster dispersion is
     a degenerate-dispersion error, an overflowing sum a ``NumericError``.
     """
-    data, starts = _stack(views)
-    k = len(views)
+    _check_clustering(clustering)
+    data = clustering.data
+    k = len(clustering)
     n = len(data)
     if n <= k:
         raise DataError(f"Calinski-Harabasz needs more points ({n}) than clusters ({k})")
     grand = data.mean(axis=0)
-    bss = sum(v.size * float(((v.centroid - grand) ** 2).sum()) for v in views)
-    wss = sum(float(((data[lo:hi] - v.centroid) ** 2).sum()) for v, lo, hi in zip(views, starts, starts[1:]))
+    bss = sum(v.size * float(((v.centroid - grand) ** 2).sum()) for v in clustering)
+    wss = sum(float(((v.points - v.centroid) ** 2).sum()) for v in clustering)
     if not (np.isfinite(bss) and np.isfinite(wss)):
         raise NumericError(f"Calinski-Harabasz sums of squares overflow float64: BSS={bss}, WSS={wss}")
     if wss == 0.0:
@@ -228,9 +203,6 @@ def calinski_harabasz(views: list[ClusterView]) -> float:
     return float((bss / (k - 1)) / (wss / (n - k)))
 
 
-def cluster_size_variance(views: list[ClusterView]) -> float:
+def cluster_size_variance(clustering: Clustering) -> float:
     """Population variance of the cluster sizes."""
-    if not views:
-        raise DataError("need at least one cluster")
-    sizes = np.array([v.size for v in views], dtype=np.float64)
-    return float(sizes.var())
+    return float(np.diff(clustering.starts).var())

@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import ClusterView, DataError, NumericError, center_and_scale, check_bounds, timed
 from .spectral import SpectralSummary, spectral_summary
-from .synth import gaussian_cluster
+from .synth import check_cluster_shape, gaussian_cluster
 
 DEFAULT_RND_COUNT = 1000
 # Byte budget of one block of rows streamed through a work buffer: the
@@ -244,14 +244,20 @@ def run_sweep(dims, points: int, repeats: int, counts, seed: int) -> list[dict]:
     """Mean isotropy and wall-clock per (dimension, method) over fresh
     Gaussian clusters.  Methods: eigenvector probing plus random
     probing at each requested direction count, one row per probe in
-    request order (a repeated count gives a repeated row).  A mean
-    isotropy outside [0, 1] raises ``NumericError``."""
+    request order (a repeated count gives a repeated row).  The whole
+    grid is checked before the first cluster is sampled: a bad repeat
+    count, direction count, dimension or point count is a ``DataError``.
+    A mean isotropy outside [0, 1] raises ``NumericError``."""
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
+    probes = [("vec", None)] + [("rnd", count) for count in counts]
+    for _, count in probes[1:]:
+        check_direction_count(count)
+    for dim in dims:
+        check_cluster_shape(dim, points)
     master = np.random.default_rng(seed)
     data_seeds = master.integers(2**63, size=(len(dims), repeats))
     dir_seeds = master.integers(2**63, size=(len(dims), repeats))
-    probes = [("vec", None)] + [("rnd", count) for count in counts]
     rows = []
     for i, dim in enumerate(dims):
         values = [[] for _ in probes]

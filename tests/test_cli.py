@@ -895,6 +895,29 @@ def test_sweep_rejects_bad_repeats():
         run_sweep([3], points=10, repeats=0, counts=[10], seed=0)
 
 
+def fail_if_sampled(*args, **kwargs):
+    raise AssertionError("a cluster was sampled")
+
+
+def test_sweep_and_mp_grids_are_checked_before_the_first_sample(tmp_path, monkeypatch, capsys):
+    from isoclust import randmat, zmeasure
+
+    monkeypatch.setattr(zmeasure, "gaussian_cluster", fail_if_sampled)
+    monkeypatch.setattr(randmat, "gaussian_cluster", fail_if_sampled)
+    sweep = ["sweep", "--repeats", "1"]
+    out = tmp_path / "out.csv"
+    for argv, message in (
+        (sweep + ["--dims", "5", "--points", "10", "--vectors", "10,1"], "count must be >= 2, got 1"),
+        (sweep + ["--dims", "5,0", "--points", "10", "--vectors", "10"], "n_dims >= 1, got (10, 0)"),
+        (sweep + ["--dims", "5", "--points", "0", "--vectors", "10"], "count >= 1 and n_dims >= 1, got (0, 5)"),
+        (["mp", "--points", "15", "--dims", "10,0", "--empirical", "5"], "dims must be >= 1, got 0"),
+        (["mp", "--points", "0", "--dims", "10", "--empirical", "5"], "points must be >= 1, got 0"),
+    ):
+        assert main(argv + ["--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_repeated_count_gives_repeated_rows():
     rows = run_sweep([4], points=20, repeats=2, counts=[10, 10], seed=0)
     assert [r["method"] for r in rows] == ["vec", "rnd", "rnd"]

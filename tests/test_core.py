@@ -1,5 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isoclust import (
     ClusterAssignment,
@@ -66,11 +71,47 @@ def test_split_clusters_gathers_the_rows_once():
     views = split_clusters(cloud, ClusterAssignment([2, 0, 1, 0, 2, 1]))
     assert all(v.points is v.points for v in views)
     # every view is a slice of one cluster-ordered copy, not of the input
-    gathered = views[0].points.base
-    assert gathered.shape == cloud.data.shape
-    assert not np.shares_memory(gathered, cloud.data)
-    assert all(np.shares_memory(v.points, gathered) for v in views)
-    np.testing.assert_array_equal(np.concatenate([v.points for v in views]), cloud.data[[1, 3, 2, 5, 0, 4]])
+    assert views.data.shape == cloud.data.shape
+    assert not np.shares_memory(views.data, cloud.data)
+    assert all(np.shares_memory(v.points, views.data) for v in views)
+    np.testing.assert_array_equal(views.data, cloud.data[[1, 3, 2, 5, 0, 4]])
+
+
+@st.composite
+def labelled_clouds(draw):
+    """Points in 1-3 dims with contiguous labels 0..k-1 in any row order."""
+    dims = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 30))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(draw(st.permutations(list(range(k)) + extra)))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.lists(coords, min_size=dims, max_size=dims), min_size=n, max_size=n))
+    return PointCloud(points), labels
+
+
+@given(labelled_clouds())
+def test_split_clusters_owns_one_cluster_ordered_buffer(case):
+    cloud, labels = case
+    views = split_clusters(cloud, ClusterAssignment(labels))
+    np.testing.assert_array_equal(views.data, cloud.data[np.argsort(labels, kind="stable")])
+    np.testing.assert_array_equal(views.starts, [0, *np.cumsum(np.bincount(labels))])
+    assert len(views) == len(views.starts) - 1
+    for i, view in enumerate(views):
+        lo, hi = views.starts[i], views.starts[i + 1]
+        assert view.cluster_id == i
+        assert view.points.shape == (hi - lo, cloud.n_dims)
+        assert np.shares_memory(view.points, views.data[lo:hi])
+        np.testing.assert_array_equal(view.points, views.data[lo:hi])
+
+
+def test_a_clustering_copies_and_pickles_with_its_buffer():
+    views = split_clusters(PointCloud(np.arange(12.0).reshape(6, 2)), ClusterAssignment([2, 0, 1, 0, 2, 1]))
+    for clone in (copy.copy(views), copy.deepcopy(views), pickle.loads(pickle.dumps(views))):
+        assert type(clone) is type(views) and [v.cluster_id for v in clone] == [0, 1, 2]
+        np.testing.assert_array_equal(clone.data, views.data)
+        np.testing.assert_array_equal(clone.starts, views.starts)
+        assert all(np.shares_memory(v.points, clone.data) for v in clone)
 
 
 def test_split_clusters_length_mismatch():

@@ -8,7 +8,6 @@ from scipy.spatial.distance import cdist
 
 from isoclust import (
     ClusterAssignment,
-    ClusterView,
     DataError,
     NumericError,
     PointCloud,
@@ -138,14 +137,14 @@ def test_silhouette_matches_reference():
         assert silhouette(views) == pytest.approx(silhouette_ref(data, labels), abs=1e-10)
 
 
-def silhouette_full_matrix(views):
+def silhouette_full_matrix(clustering):
     """Silhouette from the whole N x N distance matrix, with the same
     per-cluster slice sums and score rules as the blocked computation."""
-    data, starts = validation._stack(views)
+    data, starts = clustering.data, clustering.starts
     dists = cdist(data, data)
     sums = np.stack([dists[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, starts[1:])], axis=1)
     sizes = np.diff(starts)
-    own = np.repeat(np.arange(len(views)), sizes)
+    own = np.repeat(np.arange(len(clustering)), sizes)
     rows = np.arange(len(data))
     a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
     sums[rows, own] = np.inf
@@ -211,8 +210,7 @@ def test_tiled_silhouette_is_bit_identical_to_the_full_matrix(views, group_rows,
     # order, so the value is exact, not merely close
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(validation, "_GROUP_ROWS", group_rows)
-        starts = validation._stack(views)[1]
-        sizes = sorted(hi - lo for lo, hi, _ in validation._groups(starts))
+        sizes = sorted(hi - lo for lo, hi, _ in validation._groups(views.starts))
         budget = {"all": 8 * sizes[-1] ** 2, "some": 8 * sizes[0] * sizes[-1], "none": 8 * sizes[0] ** 2 - 1}
         mp.setattr(validation, "_BLOCK_BYTES", budget[fitting])
         assert silhouette(views) == silhouette_full_matrix(views)
@@ -286,47 +284,9 @@ def test_silhouette_memory_is_one_tile_when_every_tile_fits():
     assert peak < 8 * 1250**2 + 3e6
 
 
-def test_split_views_hand_their_buffer_to_the_stack():
-    rng = np.random.default_rng(11)
-    views = make_views(rng.normal(size=(30, 3)), rng.permutation(np.arange(30) % 4))
-    data, starts = validation._stack(views)
-    buffer = views[0].points.base
-    assert data is buffer and all(np.shares_memory(data, v.points) for v in views)
-    np.testing.assert_array_equal(starts, [0, 8, 16, 23, 30])
-    # out of view order, or a subset, the views are concatenated
-    for reordered in (views[::-1], views[1:]):
-        stacked, _ = validation._stack(reordered)
-        assert not np.shares_memory(stacked, buffer)
-        np.testing.assert_array_equal(stacked, np.concatenate([v.points for v in reordered]))
-
-
-@given(float_clusterings())
-def test_separately_built_views_give_the_same_indices_bitwise(views):
-    # the concatenated copy holds the same values in the same layout as the
-    # split buffer, so every sum runs in the same order
-    copies = [ClusterView(PointCloud(v.points.copy()), v.cluster_id) for v in views]
-    assert not np.shares_memory(validation._stack(copies)[0], views[0].points)
-    assert silhouette(copies) == silhouette(views)
-    try:
-        expected = calinski_harabasz(views)
-    except DataError:
-        with pytest.raises(DataError):
-            calinski_harabasz(copies)
-    else:
-        assert calinski_harabasz(copies) == expected
-
-
 def test_silhouette_needs_two_clusters():
     with pytest.raises(DataError):
         silhouette(make_views([[0, 0], [1, 1]], [0, 0]))
-
-
-def test_mismatched_dimensions_rejected():
-    flat = make_views([[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
-    tall = make_views([[0, 0, 0], [1, 1, 1], [5, 5, 5], [6, 6, 6]], [0, 0, 1, 1])
-    for index in (silhouette, davies_bouldin, calinski_harabasz):
-        with pytest.raises(DataError, match=r"clusters have different dimensions: \[2, 3\]"):
-            index([flat[0], tall[1]])
 
 
 # --- Davies-Bouldin -----------------------------------------------------------
@@ -387,23 +347,17 @@ def test_calinski_harabasz_errors():
 @st.composite
 def clusterings(draw):
     """Integer points, so ties and coincident points occur, in 2-6 clusters
-    with singletons allowed.  The views come from ``split_clusters`` or, as
-    a shuffled list, from clouds of each cluster's rows in an arbitrary
-    order."""
+    with singletons allowed.  The rows are permuted with their labels before
+    the split, so each cluster's rows arrive in an arbitrary order."""
     dims = draw(st.integers(1, 3))
     k = draw(st.integers(2, 6))
     n = draw(st.integers(k, 14))
     points = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dims, max_size=dims), min_size=n, max_size=n))
     extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
-    labels = np.array(draw(st.permutations(list(range(k)) + extra)))
-    cloud = PointCloud(np.asarray(points, dtype=float))
-    if draw(st.booleans()):
-        views = split_clusters(cloud, ClusterAssignment(labels))
-    else:
-        order = draw(st.permutations(range(n)))
-        views = [ClusterView(PointCloud([points[i] for i in order if labels[i] == c]), c) for c in range(k)]
-        views = draw(st.permutations(views))
-    return points, labels, views
+    labels = np.array(list(range(k)) + extra)
+    order = np.array(draw(st.permutations(range(n))))
+    points, labels = np.asarray(points, dtype=float)[order], labels[order]
+    return points, labels, split_clusters(PointCloud(points), ClusterAssignment(labels))
 
 
 @given(clusterings())
@@ -427,5 +381,3 @@ def test_cluster_size_variance():
     uneven = make_views([[0, 0], [0, 1], [0, 2], [9, 9]], [0, 0, 0, 1])
     assert uneven[0].size == 3 and uneven[1].size == 1
     assert cluster_size_variance(uneven) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DataError):
-        cluster_size_variance([])
