@@ -22,6 +22,7 @@ import json
 import sys
 from array import array
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +128,23 @@ def read_cloud_csv(path, label_column: str | None = None):
 
 
 def write_cloud_csv(path, cloud: PointCloud, labels=None):
-    columns = cloud.columns or [f"x{i}" for i in range(cloud.n_dims)]
-    rows = map(np.ndarray.tolist, cloud.data)  # csv writes a float as its repr: exact
+    """The bytes ``csv.writer`` writes, one row held at a time.
+
+    Only the header goes through ``csv.writer``: a column name may need
+    RFC 4180 quoting.  A data row is its floats' ``repr`` (the shortest
+    exact round trip) joined by commas, then the label as an integer,
+    then CRLF, which is what ``csv.writer`` writes for it: no float
+    ``repr`` holds a comma, a quote or a line break.
+    """
+    header = list(cloud.columns or [f"x{i}" for i in range(cloud.n_dims)])
+    suffixes = repeat("", len(cloud.data))
     if labels is not None:
-        rows = ([*row, int(label)] for row, label in zip(rows, labels, strict=True))
+        header.append("label")
+        suffixes = (f",{int(label)}" for label in labels)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns) + (["label"] if labels is not None else []))
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for row, suffix in zip(cloud.data, suffixes, strict=True):
+            fh.write(",".join(map(repr, row.tolist())) + suffix + "\r\n")
 
 
 def _write_rows_csv(path, rows):

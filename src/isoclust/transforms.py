@@ -164,8 +164,10 @@ def pca_project(cloud: PointCloud, dims: int) -> PointCloud:
     making the largest-magnitude loading of each axis positive, so the
     projection is deterministic.
     """
-    if dims < 1 or dims > cloud.n_dims:
-        raise DataError(f"cannot project {cloud.n_dims}-D data to {dims} dims")
+    n_axes = min(cloud.n_points, cloud.n_dims)  # the rows of the thin SVD's vt
+    if dims < 1 or dims > n_axes:
+        raise DataError(f"cannot project {cloud.n_points} points in {cloud.n_dims} dims to {dims} dims: "
+                        f"PCA gives at most min(points, dims) = {n_axes} axes")
     centered = cloud.data - cloud.data.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     axes = vt[:dims]

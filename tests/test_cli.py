@@ -1,12 +1,16 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isoclust import DataError, cli, kmeans, run_sweep
 from isoclust.cli import main, read_cloud_csv, run_measure, write_cloud_csv
@@ -28,8 +32,6 @@ def child_env(**extra) -> dict:
 
 
 def read_csv_rows(path) -> list[dict]:
-    import csv
-
     with Path(path).open(newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
@@ -171,6 +173,59 @@ def test_read_csv_memory_is_about_the_float_data(tmp_path, labelled):
     if labelled:
         assert assignment.labels.tolist() == labels.tolist()
     assert peak / 2**20 < 12
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-5, 1e308, -1e308]
+
+
+@st.composite
+def written_clouds(draw):
+    """(data, columns, labels) for ``write_cloud_csv``: any float64 values,
+    column names that need quoting, with or without labels."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+    data = np.array(draw(st.lists(st.lists(value, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows)), dtype=np.float64).reshape(n_rows, n_cols)
+    name = st.one_of(st.sampled_from(["", " ", "a b", "a,b", 'say "x"', "two\nlines", "cr\r", "label"]), st.text())
+    columns = draw(st.none() | st.lists(name, min_size=n_cols, max_size=n_cols))
+    labels = draw(st.none() | st.lists(st.integers(-2**63, 2**63 - 1), min_size=n_rows, max_size=n_rows))
+    return data, columns, None if labels is None else np.array(labels, dtype=np.int64)
+
+
+@given(written_clouds())
+def test_write_csv_bytes_are_csv_writers(tmp_path_factory, drawn):
+    data, columns, labels = drawn
+    # PointCloud refuses non-finite values; the row format holds for every
+    # float64, so the writer gets a stand-in with the fields it reads
+    cloud = SimpleNamespace(data=data, columns=columns, n_dims=data.shape[1])
+    out = tmp_path_factory.getbasetemp() / "written.csv"
+    write_cloud_csv(out, cloud, labels=labels)
+
+    oracle = tmp_path_factory.getbasetemp() / "oracle.csv"
+    header = list(columns or [f"x{i}" for i in range(data.shape[1])])
+    rows = [row.tolist() for row in data]
+    if labels is not None:
+        header.append("label")
+        rows = [[*row, int(label)] for row, label in zip(rows, labels)]
+    with oracle.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert out.read_bytes() == oracle.read_bytes()
+
+
+def test_write_csv_holds_one_row_at_a_time(tmp_path):
+    # the 100,000 x 20 cloud is 15.3 MiB; the writer adds one row's strings
+    cloud = PointCloud(np.random.default_rng(8).normal(size=(100_000, 20)))
+    labels = np.arange(100_000) % 7
+    tracemalloc.start()
+    try:
+        write_cloud_csv(tmp_path / "big.csv", cloud, labels=labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 0.5
 
 
 # --- measure ------------------------------------------------------------------
@@ -855,6 +910,18 @@ def test_project_columns(tmp_path):
     assert list(read_csv_rows(out)[0].keys()) == ["pc1", "pc2"]
     assert main(["project", "--input", str(src), "--dims", "3", "--output", str(out)]) == 0
     assert list(read_csv_rows(out)[0].keys()) == ["pc1", "pc2", "pc3"]
+
+
+@pytest.mark.parametrize(("rows", "dims"), [(1, 2), (2, 3)])
+def test_project_needs_as_many_points_as_axes(tmp_path, capsys, rows, dims):
+    src = tmp_path / "few.csv"
+    write_cloud_csv(src, PointCloud(np.arange(rows * 4, dtype=float).reshape(rows, 4) ** 2))
+    out = tmp_path / "p.csv"
+    assert main(["project", "--input", str(src), "--dims", str(dims), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot project {rows} points in 4 dims to {dims} dims" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # --- sweep / mp ---------------------------------------------------------------
