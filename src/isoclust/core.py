@@ -201,6 +201,35 @@ def size_weighted_mean(values, sizes) -> float:
     return float((v * s).sum() / s.sum())
 
 
+# numpy's PW_BLOCKSIZE: np.add.reduce sums a stretch this short without splitting it
+_PAIRWISE_LEAF = 128
+
+
+def pairwise_sum(n: int, values, max_len: int) -> np.float64:
+    """``np.add.reduce`` of a contiguous float64 array of ``n`` values,
+    without ever holding more than ``max_len`` (at least 128) of them.
+
+    ``values(lo, hi)`` returns entries ``lo:hi`` as a contiguous 1-D
+    array.  numpy sums such an array by a pairwise tree: a node longer
+    than 128 splits at half its length rounded down to a multiple of 8,
+    and the two halves' sums are added.  This replays that tree down to
+    nodes that fit, reduces each with ``np.add.reduce`` and adds the
+    nodes in the same order, so the result is bitwise numpy's.  Nodes
+    are added as ``np.float64``, so an overflow warns as numpy's would.
+    """
+    if max_len < _PAIRWISE_LEAF:
+        raise ValueError(f"max_len must be at least {_PAIRWISE_LEAF}, got {max_len}")
+
+    def node(lo: int, hi: int) -> np.float64:
+        if hi - lo <= max_len:
+            return np.add.reduce(values(lo, hi))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return node(lo, lo + half) + node(lo + half, hi)
+
+    return node(0, n)
+
+
 def timed(fn, *args):
     """Call ``fn(*args)``; return its result and the wall-clock seconds it took."""
     clock = time.perf_counter

@@ -11,10 +11,12 @@ Lloyd's iteration stops at its exact fixed point, where recomputing the
 centroids leaves every value unchanged, or after ``max_iter``
 iterations; with no tolerance, where the origin lies does not matter.
 
-Besides the data and the N x k distances, a run holds one N x d array
-at a time: the copy whose rows are sorted to count the distinct points,
-the squares of the k-means++ distances (one buffer for every centre)
-and the squares of the final inertia, formed in place.
+Besides the data and the N x k distances, a run holds one block of
+about 256 KiB, never an N x d array: the distinct points are counted
+block by block and only up to k, and the squares behind the k-means++
+distances and the final inertia are formed a block of rows at a time.
+The final inertia is bitwise the sum of the whole N x d array of
+squares, because ``core.pairwise_sum`` replays numpy's summation tree.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import ClusterAssignment, DataError, NumericError, PointCloud
+from .core import ClusterAssignment, DataError, NumericError, PointCloud, pairwise_sum
 
 MAX_ITER = 300
+# Byte budget of one block of rows (or of squares): what a run holds besides
+# the data, its N x k distances and its N-long vectors.
+_BLOCK_BYTES = 256 * 2**10
 
 
 @dataclass
@@ -39,10 +44,25 @@ class KMeansResult:
     inertia_history: list[float]
 
 
+def _block_rows(n_dims: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_dims))
+
+
 def _squares(data: np.ndarray, centre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``(data - centre) ** 2`` written into ``out``, which may be ``centre``."""
     np.subtract(data, centre, out=out)
     return np.multiply(out, out, out=out)
+
+
+def _row_squares(data: np.ndarray, centre: np.ndarray):
+    """Each block of rows' start and its rows' squared distances to
+    ``centre``.  ``sum(axis=1)`` reduces each row alone, so the values are
+    those of the whole N x d array of squares."""
+    rows = _block_rows(data.shape[1])
+    buf = np.empty((min(rows, len(data)), data.shape[1]))
+    for lo in range(0, len(data), rows):
+        block = data[lo:lo + rows]
+        yield lo, _squares(block, centre, buf[:len(block)]).sum(axis=1)
 
 
 def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -50,11 +70,12 @@ def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     centroids = np.empty((k, data.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    squares = np.empty_like(data)
+    d2 = np.empty(n)
     # an overflowing squared distance becomes inf; only a non-finite sum,
     # checked below, is an error
     with np.errstate(over="ignore"):
-        d2 = _squares(data, centroids[0], squares).sum(axis=1)
+        for lo, sums in _row_squares(data, centroids[0]):
+            d2[lo:lo + len(sums)] = sums
         for i in range(1, k):
             total = d2.sum()
             if not np.isfinite(total):
@@ -65,19 +86,49 @@ def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             else:
                 choice = int(rng.integers(n))
             centroids[i] = data[choice]
-            np.minimum(d2, _squares(data, centroids[i], squares).sum(axis=1), out=d2)
+            for lo, sums in _row_squares(data, centroids[i]):
+                nearest = d2[lo:lo + len(sums)]
+                np.minimum(nearest, sums, out=nearest)
     return centroids
 
 
-def _count_distinct_rows(data: np.ndarray) -> int:
+def _count_distinct_rows(data: np.ndarray, at_most: int) -> int:
     """The number of distinct rows, as ``np.unique(data, axis=0)`` counts
-    them, from one copy: each row's bytes sorted as one void value.
-    Adding +0.0 turns -0.0 into 0.0, which compares equal to it but has
-    other bytes; every other finite value has bytes of its own."""
-    rows = np.add(data, 0.0, order="C")
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    them, or ``at_most`` if there are at least that many.
+
+    Reads a block of rows at a time and keeps the distinct rows seen so
+    far (fewer than ``at_most``) as sorted byte keys.  Adding +0.0 turns
+    -0.0 into 0.0, so two finite rows have equal keys exactly when they
+    are ``==``.
+    """
+    width = np.dtype((np.void, 8 * data.shape[1]))
+    rows = _block_rows(data.shape[1])
+    seen = np.empty(0, dtype=width)
+    for lo in range(0, len(data), rows):
+        block = np.add(data[lo:lo + rows], 0.0, order="C").view(width).ravel()
+        keys = np.concatenate([seen, block])
+        keys.sort()
+        seen = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        if len(seen) >= at_most:
+            return at_most
+    return len(seen)
+
+
+def _inertia(data: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """``((data - centroids[labels]) ** 2).sum()``, bitwise, from one block
+    of squares at a time (see ``core.pairwise_sum``)."""
+    n_dims = data.shape[1]
+    leaf = _BLOCK_BYTES // 8
+    # a run of ``leaf`` flat entries touches at most this many rows
+    buf = np.empty((min(leaf // n_dims + 2, len(data)), n_dims))
+
+    def squares(lo: int, hi: int) -> np.ndarray:
+        r0, r1 = lo // n_dims, -(-hi // n_dims)
+        # mode="clip" writes straight into out; "raise" would buffer a copy
+        block = np.take(centroids, labels[r0:r1], axis=0, out=buf[:r1 - r0], mode="clip")
+        return _squares(data[r0:r1], block, block).ravel()[lo - r0 * n_dims:hi - r0 * n_dims]
+
+    return float(pairwise_sum(data.size, squares, leaf))
 
 
 def _assign(data: np.ndarray, centroids: np.ndarray):
@@ -131,7 +182,7 @@ def kmeans(
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
     if k > cloud.n_points:
         raise DataError(f"k = {k} exceeds the number of points ({cloud.n_points})")
-    n_distinct = _count_distinct_rows(data)
+    n_distinct = _count_distinct_rows(data, at_most=k)
     if k > n_distinct:
         raise DataError(f"k = {k} exceeds the number of distinct points ({n_distinct})")
 
@@ -171,8 +222,7 @@ def kmeans(
 
     labels, _, _, moved = _assign(data, centroids)
     reseeded |= moved
-    diff = centroids[labels]
-    inertia = float(_squares(data, diff, diff).sum())
+    inertia = _inertia(data, centroids, labels)
 
     return KMeansResult(
         assignment=ClusterAssignment(labels),

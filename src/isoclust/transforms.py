@@ -164,10 +164,12 @@ def pca_project(cloud: PointCloud, dims: int) -> PointCloud:
     making the largest-magnitude loading of each axis positive, so the
     projection is deterministic.
     """
-    n_axes = min(cloud.n_points, cloud.n_dims)  # the rows of the thin SVD's vt
+    # N centered points span at most N - 1 axes; the thin SVD's further rows
+    # of vt are round-off directions in the null space
+    n_axes = min(cloud.n_points - 1, cloud.n_dims)
     if dims < 1 or dims > n_axes:
         raise DataError(f"cannot project {cloud.n_points} points in {cloud.n_dims} dims to {dims} dims: "
-                        f"PCA gives at most min(points, dims) = {n_axes} axes")
+                        f"PCA gives at most min(points - 1, dims) = {n_axes} axes")
     centered = cloud.data - cloud.data.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     axes = vt[:dims]

@@ -10,7 +10,9 @@ point, filled one pair of clusters (small clusters merged into groups)
 at a time: a pair whose distance tile fits in 16 MiB is computed once
 and summed along both of its sides, a larger pair in blocks of rows.
 It never holds more than one 16 MiB tile of distances, not the N x N
-matrix.
+matrix.  ``mean_pairwise_dist`` likewise holds at most one 16 MiB node
+of a cluster's |C|(|C|-1)/2 distances, yet returns ``pdist``'s mean
+bitwise: it replays numpy's pairwise summation tree node by node.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import Clustering, ClusterView, DataError, NumericError
+from .core import Clustering, ClusterView, DataError, NumericError, pairwise_sum
 
 # Byte budget of one silhouette distance tile: the whole tile of a pair of
 # cluster groups when it fits, else B = _BLOCK_BYTES // (8 * |G_b|) rows of
-# G_a against G_b, at least one row.
+# G_a against G_b, at least one row.  Also the budget of one node of
+# mean_pairwise_dist's condensed distances.
 _BLOCK_BYTES = 16 * 2**20
 # Clusters smaller than this are merged with their neighbours into groups of
 # at least this many points: each tile costs one cdist call, about 20 us
@@ -37,10 +40,35 @@ def mean_dist_to_centroid(view: ClusterView) -> float:
 
 
 def mean_pairwise_dist(view: ClusterView) -> float:
-    """Mean distance over unordered distinct member pairs; 0 for a singleton."""
-    if view.size < 2:
+    """Mean distance over unordered distinct member pairs; 0 for a singleton.
+
+    Bitwise ``pdist(points).mean()``.  When the |C|(|C|-1)/2 distances do
+    not fit in ``_BLOCK_BYTES``, they are summed by ``core.pairwise_sum``
+    one node of at most that many bytes at a time, each node filled from
+    ``cdist`` row segments (which equal ``pdist``'s entries bitwise).
+    """
+    x, n = view.points, view.size
+    if n < 2:
         return 0.0
-    return float(pdist(view.points).mean())
+    count = n * (n - 1) // 2
+    leaf = _BLOCK_BYTES // 8
+    if count <= leaf:
+        return float(pdist(x).mean())
+    buf = np.empty(leaf)
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # row i, the pairs (i, i+1..n-1), ends at ends[i]
+
+    def distances(lo: int, hi: int) -> np.ndarray:
+        i = int(np.searchsorted(ends, lo, side="right"))
+        at = lo
+        while at < hi:
+            j0 = n - (int(ends[i]) - at)
+            j1 = min(n, j0 + hi - at)
+            cdist(x[i:i + 1], x[j0:j1], out=buf[at - lo:at - lo + j1 - j0].reshape(1, -1))
+            at += j1 - j0
+            i += 1
+        return buf[:hi - lo]
+
+    return float(pairwise_sum(count, distances, leaf) / count)
 
 
 def _check_clustering(clustering: Clustering) -> None:

@@ -745,6 +745,22 @@ def test_out_of_memory_exits_5_and_writes_nothing(tmp_path):
     assert load_json(out)["per_cluster"]["size"] == [2000.0]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_mean_pairwise_dist_streams_past_the_address_space_limit(tmp_path):
+    # 17,000 points on a line: pdist's condensed array would need 1.08 GiB,
+    # past the 1 GiB limit; the mean of |i - j| over pairs is (n + 1) / 3,
+    # and every partial sum is an integer below 2**53, so it is exact
+    n = 17_000
+    src = write_text(tmp_path / "line.csv", "x,label\n" + "".join(f"{i},a\n" for i in range(n)))
+    out = tmp_path / "r.json"
+    argv = ["measure", "--input", src, "--label-column", "label", "--metrics", "mean_pairwise_dist",
+            "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-c", _MEASURE_LIMITED, str(1 << 30), *argv],
+                          env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert load_json(out)["per_cluster"]["mean_pairwise_dist"] == [(n + 1) / 3]
+
+
 # --- transform ----------------------------------------------------------------
 
 
@@ -912,7 +928,7 @@ def test_project_columns(tmp_path):
     assert list(read_csv_rows(out)[0].keys()) == ["pc1", "pc2", "pc3"]
 
 
-@pytest.mark.parametrize(("rows", "dims"), [(1, 2), (2, 3)])
+@pytest.mark.parametrize(("rows", "dims"), [(1, 2), (2, 2), (2, 3)])
 def test_project_needs_as_many_points_as_axes(tmp_path, capsys, rows, dims):
     src = tmp_path / "few.csv"
     write_cloud_csv(src, PointCloud(np.arange(rows * 4, dtype=float).reshape(rows, 4) ** 2))

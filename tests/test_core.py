@@ -17,6 +17,7 @@ from isoclust import (
     size_weighted_mean,
     split_clusters,
 )
+from isoclust.core import pairwise_sum
 
 
 def test_point_cloud_basic():
@@ -199,3 +200,33 @@ def test_metric_report_round_trip():
     assert doc["global"]["fa_g"] == 0.5
     assert doc["degenerate_clusters"] == [0]
     assert doc["metadata"]["seed"] == 7
+
+
+# --- numpy's summation tree ---------------------------------------------------
+
+
+@given(
+    n=st.integers(1, 40_000),
+    max_len=st.integers(128, 2_000),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_pairwise_sum_replays_numpy_bitwise(n, max_len, seed, scale):
+    # the alarm if a numpy upgrade changes how np.add.reduce sums a
+    # contiguous float64 array; budgets this small force several tree levels
+    x = np.random.default_rng(seed).standard_t(3, n) * scale
+    asked = []
+
+    def values(lo, hi):
+        asked.append(hi - lo)
+        return x[lo:hi]
+
+    total = pairwise_sum(n, values, max_len)
+    assert type(total) is np.float64
+    assert total.tobytes() == np.add.reduce(x).tobytes()
+    assert sum(asked) == n and max(asked) <= max_len
+
+
+def test_pairwise_sum_leaves_are_at_least_numpys_shortest_split():
+    with pytest.raises(ValueError, match="at least 128"):
+        pairwise_sum(1000, lambda lo, hi: np.zeros(hi - lo), 127)

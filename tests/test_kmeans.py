@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 import warnings
 
@@ -10,6 +11,10 @@ from scipy.spatial.distance import cdist
 from isoclust import DataError, NumericError, PointCloud, kmeans
 from isoclust.cli import main, write_cloud_csv
 from isoclust.kmeans import MAX_ITER
+
+
+# the package's ``kmeans`` attribute is the function, not this module
+kmeans_module = importlib.import_module("isoclust.kmeans")
 
 
 def cloud_of(points) -> PointCloud:
@@ -63,18 +68,79 @@ def test_distinct_points_count_signed_zeros_as_one():
     assert kmeans(cloud_of([[0, 1], [-0.0, 1], [2, 3]]), 2).inertia == 0.0
 
 
-def test_kmeans_holds_about_one_copy_of_the_data():
-    # 20,000 x 20 points (3.05 MiB): the distinct-row count, the k-means++
-    # distances and the final inertia each need one N x d array, one at a
-    # time; the distance and label arrays are N x k and N
-    cloud = cloud_of(np.random.default_rng(12).normal(size=(20_000, 20)))
+def test_kmeans_holds_no_n_by_d_array():
+    # 20,000 x 50 points (7.6 MiB): besides the data a run holds its N x k
+    # distances (1.2 MiB), N-long vectors and one 256 KiB block; the
+    # distinct-row count, the k-means++ distances and the final inertia
+    # each used to hold a whole N x d array
+    cloud = cloud_of(np.random.default_rng(12).normal(size=(20_000, 50)))
     tracemalloc.start()
     try:
-        kmeans(cloud, 3, seed=0, max_iter=5)
+        kmeans(cloud, 8, seed=0, max_iter=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * cloud.data.nbytes
+    assert peak < 3 * 2**20
+
+
+def t3_data(seed, n, d, scale):
+    return np.random.default_rng(seed).standard_t(3, (n, d)) * scale
+
+
+SCALES = st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8])
+# 1-16 KiB: blocks of a few rows, and inertia trees several levels deep
+BUDGETS = st.sampled_from([1024, 2048, 4096, 16384])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600), d=st.integers(1, 40), k=st.integers(1, 8),
+    scale=SCALES, budget=BUDGETS,
+)
+def test_blocked_inertia_is_the_whole_sum_bitwise(seed, n, d, k, scale, budget):
+    data = t3_data(seed, n, d, scale)
+    rng = np.random.default_rng(seed + 1)
+    centroids = t3_data(seed + 2, k, d, scale)
+    labels = rng.integers(0, k, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans_module, "_BLOCK_BYTES", budget)
+        assert kmeans_module._inertia(data, centroids, labels) == float(((data - centroids[labels]) ** 2).sum())
+
+
+def test_blocked_inertia_overflow_warns():
+    # each 128-entry node sums to about 1.5e308; their sum overflows
+    data = np.full((256, 1), 1.1e153)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans_module, "_BLOCK_BYTES", 1024)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert kmeans_module._inertia(data, np.zeros((1, 1)), np.zeros(256, dtype=np.int64)) == np.inf
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600), d=st.integers(1, 40), scale=SCALES, budget=BUDGETS,
+)
+def test_blocked_row_squares_are_the_whole_row_sums(seed, n, d, scale, budget):
+    data = t3_data(seed, n, d, scale)
+    centre = t3_data(seed + 1, 1, d, scale)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans_module, "_BLOCK_BYTES", budget)
+        blocks = list(kmeans_module._row_squares(data, centre))
+    assert [lo for lo, _ in blocks] == list(range(0, n, max(1, budget // (8 * d))))
+    np.testing.assert_array_equal(np.concatenate([sums for _, sums in blocks]), ((data - centre) ** 2).sum(axis=1))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), d=st.integers(1, 6),
+    distinct=st.integers(1, 30), k=st.integers(1, 40), budget=BUDGETS,
+)
+def test_capped_distinct_count_matches_np_unique(seed, n, d, distinct, k, budget):
+    # few distinct rows, repeated, with -0.0 and 0.0 mixed: equal under ==
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-1, 2, (distinct, d)).astype(float)
+    data = pool[rng.integers(0, distinct, n)]
+    data[(data == 0) & (rng.random(data.shape) < 0.5)] = -0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans_module, "_BLOCK_BYTES", budget)
+        assert kmeans_module._count_distinct_rows(data, at_most=k) == min(k, len(np.unique(data, axis=0)))
 
 
 def test_deterministic_for_seed():

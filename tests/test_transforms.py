@@ -204,3 +204,8 @@ def test_pca_dims_validation():
         pca_project(cloud, 0)
     with pytest.raises(DataError):
         pca_project(cloud, 4)
+    # N centered points span at most N - 1 axes: one point has none, two one
+    for rows, dims in [(1, 1), (2, 2)]:
+        with pytest.raises(DataError, match=rf"min\(points - 1, dims\) = {rows - 1} axes"):
+            pca_project(cloud_of(np.arange(rows * 3.0).reshape(rows, 3) ** 2), dims)
+    assert pca_project(cloud_of([[1, 2, 3], [4, 8, 5]]), 1).data.shape == (2, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from isoclust import (
     ClusterAssignment,
@@ -105,6 +105,38 @@ def test_mean_pairwise_dist():
     assert mean_pairwise_dist(cross) == pytest.approx((2 + 2 * np.sqrt(2)) / 3, abs=1e-12)
     single = make_views([[3, 4]], [0])[0]
     assert mean_pairwise_dist(single) == 0.0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    d=st.integers(1, 12),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    rounded=st.booleans(),
+    budget=st.sampled_from([1024, 1032, 4096, 16384]),
+)
+def test_streamed_mean_pairwise_dist_is_pdist_mean(seed, n, d, scale, rounded, budget):
+    # node budgets of 128-2,048 distances: a few hundred points make trees
+    # several levels deep, with nodes that start and end inside a row
+    x = np.random.default_rng(seed).standard_t(3, (n, d)) * scale
+    if rounded:
+        x = np.round(x)
+    view = make_views(x, [0] * n)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_BLOCK_BYTES", budget)
+        assert mean_pairwise_dist(view) == pdist(x).mean()
+
+
+def test_mean_pairwise_dist_holds_one_node():
+    # 6,000 points: pdist's condensed array would be 137 MiB
+    view = make_views(np.random.default_rng(4).normal(size=(6_000, 50)), [0] * 6_000)[0]
+    tracemalloc.start()
+    try:
+        mean_pairwise_dist(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # --- silhouette ---------------------------------------------------------------
