@@ -12,6 +12,7 @@ as it is.  :func:`timed` is the package's one clock.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -110,11 +111,19 @@ class ClusterView:
     cluster (a single point or coincident points).  A cluster whose
     total squared distance to the centroid overflows float64 (so its
     scatter would) raises ``NumericError``.
+
+    ``once`` keeps a result that several metrics read, such as the one
+    pass over the cluster's own pairs that ``mean_pairwise_dist`` and
+    silhouette share when ``keep_member_sums`` is set.
     """
 
     def __init__(self, cloud: PointCloud, cluster_id: int = 0):
         self.cloud = cloud
         self.cluster_id = int(cluster_id)
+        # set when silhouette will read each member's distance sum to this cluster
+        self.keep_member_sums = False
+        self._kept: dict = {}
+        self._lock = threading.Lock()
         with np.errstate(over="ignore", invalid="ignore"):
             self.centroid = cloud.data.mean(axis=0)
             deviations = cloud.data - self.centroid
@@ -139,6 +148,15 @@ class ClusterView:
     @property
     def degenerate(self) -> bool:
         return self.mu == 0.0
+
+    def once(self, key: str, compute):
+        """``compute()``, called on the first request for ``key`` and kept:
+        later requests, from any thread, get the kept result, and one made
+        while it is being computed waits for it."""
+        with self._lock:
+            if key not in self._kept:
+                self._kept[key] = compute()
+            return self._kept[key]
 
     def __repr__(self) -> str:
         return f"ClusterView(id={self.cluster_id}, size={self.size}, n_dims={self.n_dims})"
@@ -205,29 +223,76 @@ def size_weighted_mean(values, sizes) -> float:
 _PAIRWISE_LEAF = 128
 
 
+def pairwise_tree(n: int, max_len: int) -> list:
+    """numpy's pairwise summation tree over ``n`` contiguous float64
+    values, cut at the first nodes of at most ``max_len`` (at least 128)
+    values, in post order: ``(lo, hi)`` for each such leaf, ``None``
+    where the partial sums of the two nodes before it are added.
+
+    ``np.add.reduce`` splits a node longer than 128 at half its length
+    rounded down to a multiple of 8 and adds the two halves' sums, so a
+    leaf's own sum is ``np.add.reduce`` of its values, and adding the
+    leaves' sums in this order gives numpy's sum of the whole bitwise.
+    """
+    if max_len < _PAIRWISE_LEAF:
+        raise ValueError(f"max_len must be at least {_PAIRWISE_LEAF}, got {max_len}")
+
+    def node(lo: int, hi: int) -> list:
+        if hi - lo <= max_len:
+            return [(lo, hi)]
+        half = (hi - lo) // 2
+        half -= half % 8
+        return node(lo, lo + half) + node(lo + half, hi) + [None]
+
+    return node(0, n)
+
+
+class TreeSum:
+    """Adds partial sums over the leaves of a ``pairwise_tree``, received
+    one leaf at a time in the tree's order, as numpy adds them.
+
+    A partial is a float64 scalar or an array of them (one per row, say),
+    added elementwise.  Only the open nodes' sums are held: at most one
+    per tree level.
+    """
+
+    def __init__(self, tree: list):
+        self._tree = tree
+        self._at = 0
+        self._open: list = []
+
+    def add(self, partial) -> None:
+        """Take the sum over the next leaf."""
+        self._open.append(partial)
+        self._at += 1
+        while self._at < len(self._tree) and self._tree[self._at] is None:
+            right = self._open.pop()
+            self._open[-1] = self._open[-1] + right
+            self._at += 1
+
+    @property
+    def total(self):
+        """The sum over the whole tree, once every leaf has been added."""
+        if self._at != len(self._tree):
+            raise ValueError("not every leaf of the tree has been added")
+        return self._open[0]
+
+
 def pairwise_sum(n: int, values, max_len: int) -> np.float64:
     """``np.add.reduce`` of a contiguous float64 array of ``n`` values,
     without ever holding more than ``max_len`` (at least 128) of them.
 
     ``values(lo, hi)`` returns entries ``lo:hi`` as a contiguous 1-D
-    array.  numpy sums such an array by a pairwise tree: a node longer
-    than 128 splits at half its length rounded down to a multiple of 8,
-    and the two halves' sums are added.  This replays that tree down to
-    nodes that fit, reduces each with ``np.add.reduce`` and adds the
-    nodes in the same order, so the result is bitwise numpy's.  Nodes
-    are added as ``np.float64``, so an overflow warns as numpy's would.
+    array; it is asked for each leaf of ``pairwise_tree(n, max_len)`` in
+    turn, and the leaves' sums are added in the tree's order, so the
+    result is bitwise numpy's.  Nodes are added as ``np.float64``, so an
+    overflow warns as numpy's would.
     """
-    if max_len < _PAIRWISE_LEAF:
-        raise ValueError(f"max_len must be at least {_PAIRWISE_LEAF}, got {max_len}")
-
-    def node(lo: int, hi: int) -> np.float64:
-        if hi - lo <= max_len:
-            return np.add.reduce(values(lo, hi))
-        half = (hi - lo) // 2
-        half -= half % 8
-        return node(lo, lo + half) + node(lo + half, hi)
-
-    return node(0, n)
+    tree = pairwise_tree(n, max_len)
+    total = TreeSum(tree)
+    for leaf in filter(None, tree):
+        total.add(np.add.reduce(values(*leaf)))
+    return total.total
 
 
 def timed(fn, *args):

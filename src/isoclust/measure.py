@@ -7,7 +7,10 @@ returns a :class:`MetricReport`, which checks every documented bound.
 
 Each cluster's spectral summary is computed once and shared by
 ``var_lambda``, ``fa`` and ``i_vec``; the random direction set for
-``i_rnd`` is drawn once and shared by every cluster.
+``i_rnd`` is drawn once and shared by every cluster; and each cluster's
+own pairwise distances are computed once, for ``mean_pairwise_dist`` and
+silhouette both.  With ``threads > 1`` the clusters and then silhouette's
+tiles are tasks on one thread pool.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .validation import (
     mean_dist_to_centroid,
     mean_pairwise_dist,
     silhouette,
+    silhouette_tiles,
 )
 from .zmeasure import (
     DEFAULT_RND_COUNT,
@@ -135,12 +139,20 @@ def run_measure(
     indices that do not apply (e.g. silhouette for one cluster) are
     listed in ``skipped`` when the metrics are defaulted and raise a
     ``DataError`` when requested explicitly; a metric listed twice is a
-    ``DataError``.  Wall-clock seconds per computed metric, summed over
-    clusters, plus ``spectral_summary``, are in ``metadata["timings_s"]``;
-    ``metadata["clipped_eigenvalues"]`` holds the ``count`` of negative
-    round-off eigenvalues clamped to 0, summed over the clusters' spectral
-    summaries, and the ``largest`` magnitude among them (0 and 0.0 when
-    no spectral metric is selected).
+    ``DataError``.  ``metadata["timings_s"]`` holds the wall-clock seconds
+    of each computed metric, summed over its tasks, plus
+    ``spectral_summary``: a per-cluster metric's over the clusters, and
+    silhouette's over its tiles, which at ``threads > 1`` run as tasks on
+    the same pool as the clusters, plus its final reduction.  So with
+    several threads the keys sum task seconds, not elapsed time.  The one
+    pass over a cluster's own pairs that feeds both ``mean_pairwise_dist``
+    and silhouette is counted under the metric whose task ran it:
+    ``mean_pairwise_dist`` when it is selected, unless a silhouette tile
+    on the pool reached the cluster first.  The key set does not depend
+    on ``threads``.  ``metadata["clipped_eigenvalues"]`` holds the
+    ``count`` of negative round-off eigenvalues clamped to 0, summed over
+    the clusters' spectral summaries, and the ``largest`` magnitude among
+    them (0 and 0.0 when no spectral metric is selected).
     Values are independent of the thread count.  A value outside its
     documented bound raises ``NumericError``.
     """
@@ -151,9 +163,23 @@ def run_measure(
     rnd_set = random_unit_vectors(cloud.n_dims, vectors, seed) if "i_rnd" in selected else None
 
     names = [m for m in selected if METRICS[m].per_cluster]
+    tiled = "silhouette" in selected and len(views) > 1
+    if tiled:  # one pdist per cluster then feeds both mean_pairwise_dist and silhouette
+        for view in views:
+            view.keep_member_sums = True
+    ahead: dict[str, float] = {}  # seconds of whole-clustering work run on the pool
     if threads > 1 and len(views) > 1:
+        tiles = silhouette_tiles(views) if tiled else []
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda v: _measure_cluster(v, names, rnd_set, fa_normalized), views))
+            clusters = [pool.submit(_measure_cluster, v, names, rnd_set, fa_normalized) for v in views]
+            # after the clusters, largest first, so they fill the workers the clusters leave idle
+            tile_runs = [pool.submit(timed, tile) for tile in tiles]
+            try:
+                results = [f.result() for f in clusters]
+                ahead["silhouette"] = sum(f.result()[1] for f in tile_runs)
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
     else:
         results = [_measure_cluster(v, names, rnd_set, fa_normalized) for v in views]
 
@@ -172,7 +198,8 @@ def run_measure(
     skipped: dict[str, str] = {}
     for name in (m for m in selected if METRICS[m].of_clustering):
         try:
-            overall[name], timings[name] = timed(METRICS[name].of_clustering, views)
+            overall[name], seconds = timed(METRICS[name].of_clustering, views)
+            timings[name] = ahead.get(name, 0.0) + seconds
         except DataError as exc:
             if explicit:
                 raise

@@ -5,27 +5,39 @@ coincident centroids and zero dispersion are errors).  The
 whole-clustering indices take the ``Clustering`` of ``split_clusters``,
 at least 2 clusters for all but the size variance; silhouette and
 Calinski-Harabasz read its cluster-ordered buffer as it is.
-Silhouette reduces the pairwise distances to per-cluster sums per
-point, filled one pair of clusters (small clusters merged into groups)
-at a time: a pair whose distance tile fits in 16 MiB is computed once
-and summed along both of its sides, a larger pair in blocks of rows.
-It never holds more than one 16 MiB tile of distances, not the N x N
-matrix.  ``mean_pairwise_dist`` likewise holds at most one 16 MiB node
-of a cluster's |C|(|C|-1)/2 distances, yet returns ``pdist``'s mean
-bitwise: it replays numpy's pairwise summation tree node by node.
+
+Silhouette and ``mean_pairwise_dist`` compute each distance once.  A
+cluster whose |C|(|C|-1)/2 distances fit in 16 MiB gets one ``pdist``,
+read twice: its mean is ``mean_pairwise_dist``, and its rows, rebuilt a
+few at a time, give the members' distance sums to their own cluster,
+which silhouette needs.  Silhouette computes only the distances between
+clusters, one tile per pair of clusters (small clusters merged into
+groups), each tile summed along both of its sides.  A tile over 16 MiB,
+and the own tile of a cluster too large for one ``pdist``, is cut at the
+nodes of numpy's pairwise summation tree (``core.pairwise_tree``), and
+each sub-tile, too, is computed once and read both ways; only the
+diagonal sub-tiles of an own tile are computed whole.  Silhouette never
+holds more than one 16 MiB tile, nor the N x N matrix, and its tiles are
+independent tasks (``silhouette_tiles``), which ``run_measure`` runs on
+its ``--threads`` pool.  ``mean_pairwise_dist`` of a larger cluster holds
+at most one 16 MiB node of its distances.  Every value is bitwise the one
+computed from the whole distance matrix or condensed array.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from math import isqrt
+from typing import NamedTuple
+
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import Clustering, ClusterView, DataError, NumericError, pairwise_sum
+from .core import Clustering, ClusterView, DataError, NumericError, TreeSum, pairwise_sum, pairwise_tree
 
-# Byte budget of one silhouette distance tile: the whole tile of a pair of
-# cluster groups when it fits, else B = _BLOCK_BYTES // (8 * |G_b|) rows of
-# G_a against G_b, at least one row.  Also the budget of one node of
-# mean_pairwise_dist's condensed distances.
+# Byte budget of one silhouette distance tile (a sub-tile of a larger one)
+# and of one cluster's condensed pdist array; also the budget of one node of
+# mean_pairwise_dist's condensed distances when they do not fit whole.
 _BLOCK_BYTES = 16 * 2**20
 # Clusters smaller than this are merged with their neighbours into groups of
 # at least this many points: each tile costs one cdist call, about 20 us
@@ -33,19 +45,73 @@ _BLOCK_BYTES = 16 * 2**20
 # make 2 million calls.
 _GROUP_ROWS = 128
 
+_OVERFLOW = "silhouette pairwise distance overflows float64"
+
 
 def mean_dist_to_centroid(view: ClusterView) -> float:
     """Mean Euclidean distance of members to their centroid (= mu)."""
     return view.mu
 
 
+class _OwnPairs(NamedTuple):
+    mean: float  # pdist(points).mean()
+    member_sums: np.ndarray | None  # each member's distance sum to its cluster; None if a distance overflows
+
+
+def _own_pairs(view: ClusterView, points: np.ndarray) -> _OwnPairs:
+    """The one ``pdist`` pass over the pairs of a cluster of at least 2
+    ``points`` whose condensed distances fit in ``_BLOCK_BYTES``, computed
+    once and kept on its view: the condensed array itself is dropped."""
+
+    def compute():
+        dists = pdist(points)
+        mean = float(dists.mean())
+        if not np.isfinite(mean) and not np.isfinite(dists.max()):
+            return _OwnPairs(mean, None)
+        return _OwnPairs(mean, _member_sums(dists, len(points)))
+
+    return view.once("own_pairs", compute)
+
+
+def _member_sums(dists: np.ndarray, n: int) -> np.ndarray:
+    """The row sums of the n x n distance matrix whose condensed form
+    is ``dists``, each bitwise ``cdist(x, x)[p].sum()``.
+
+    A few rows at a time, at most 1/64 of ``_BLOCK_BYTES``, are rebuilt
+    whole (zero diagonal included) and summed; the n x n matrix is never
+    held.
+    """
+    step = max(1, min(n, _BLOCK_BYTES // 64 // (8 * n)))
+    index = np.arange(n + 1)
+    starts = index * (2 * n - index - 1) // 2  # row p's pairs (p, p+1..n-1): dists[starts[p]:starts[p + 1]]
+    above = starts[:n] - index[:n] - 1  # pair (q, p) with q < p: dists[above[q] + p]
+    right = np.arange(-n, n) > np.arange(step)[:, None]  # right[t, n - r0 + q]: q > r0 + t
+    block = np.empty((step, n))
+    sums = np.empty(n)
+    for r0 in range(0, n, step):
+        rows = index[r0 : min(n, r0 + step)]
+        r1 = r0 + len(rows)
+        rebuilt = block[: len(rows)]
+        # row p's column q < p is the pair (q, p) of an earlier row; its
+        # columns q > p, fetched here as placeholders and overwritten next,
+        # are its own pairs (p, q), which are contiguous in dists
+        rebuilt[:, :r1] = dists.take(above[:r1] + rows[:, None], mode="clip")
+        rebuilt[right[: len(rows), n - r0 : 2 * n - r0]] = dists[starts[r0] : starts[r1]]
+        rebuilt[rows - r0, rows] = 0.0
+        sums[r0:r1] = rebuilt.sum(axis=1)
+    return sums
+
+
 def mean_pairwise_dist(view: ClusterView) -> float:
     """Mean distance over unordered distinct member pairs; 0 for a singleton.
 
-    Bitwise ``pdist(points).mean()``.  When the |C|(|C|-1)/2 distances do
-    not fit in ``_BLOCK_BYTES``, they are summed by ``core.pairwise_sum``
-    one node of at most that many bytes at a time, each node filled from
-    ``cdist`` row segments (which equal ``pdist``'s entries bitwise).
+    Bitwise ``pdist(points).mean()``.  When the |C|(|C|-1)/2 distances fit
+    in ``_BLOCK_BYTES`` and the view's ``keep_member_sums`` is set, this
+    ``pdist`` pass also keeps each member's distance sum, which silhouette
+    reads instead of computing the cluster's own pairs again.  When the
+    distances do not fit, they are summed by ``core.pairwise_sum`` one node
+    of at most that many bytes at a time, each node filled from ``cdist``
+    row segments (which equal ``pdist``'s entries bitwise).
     """
     x, n = view.points, view.size
     if n < 2:
@@ -53,6 +119,8 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     count = n * (n - 1) // 2
     leaf = _BLOCK_BYTES // 8
     if count <= leaf:
+        if view.keep_member_sums:
+            return _own_pairs(view, x).mean
         return float(pdist(x).mean())
     buf = np.empty(leaf)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # row i, the pairs (i, i+1..n-1), ends at ends[i]
@@ -103,7 +171,7 @@ def _distances(x, y):
     """``cdist(x, y)``; a distance that overflows float64 is a ``NumericError``."""
     dists = cdist(x, y)
     if not np.isfinite(dists.max()):
-        raise NumericError("silhouette pairwise distance overflows float64")
+        raise NumericError(_OVERFLOW)
     return dists
 
 
@@ -113,40 +181,147 @@ def _slice_sums(out, dists, spans):
         out[:, j] = dists[:, lo:hi].sum(axis=1)
 
 
-def _row_sums(out, x, y, spans):
-    """``_slice_sums`` of ``cdist(x, y)``, measured in blocks of rows of
-    ``x`` that fit in ``_BLOCK_BYTES``."""
-    step = max(1, _BLOCK_BYTES // (8 * len(y)))
-    for r0 in range(0, len(x), step):
-        _slice_sums(out[r0 : r0 + step], _distances(x[r0 : r0 + step], y), spans)
+def _transposed_sums(out, tile, spans):
+    """``_slice_sums`` of ``tile.T``, copied in contiguous chunks of 1/64
+    of the budget, so that the sums run over contiguous values."""
+    width = max(1, _BLOCK_BYTES // 64 // (8 * len(tile)))
+    for c0 in range(0, tile.shape[1], width):
+        _slice_sums(out[c0 : c0 + width], np.ascontiguousarray(tile[:, c0 : c0 + width].T), spans)
+
+
+def _cuts(group, leaf):
+    """A group's row ranges in a pair whose tile does not fit, and the tree
+    they are the leaves of: the whole group and no tree, unless the group
+    is one cluster of more than ``leaf`` rows, which is cut at the first
+    nodes of numpy's pairwise tree over its rows that hold at most that."""
+    lo, hi, spans = group
+    if len(spans) > 1 or hi - lo <= leaf:
+        return [(lo, hi)], None
+    tree = pairwise_tree(hi - lo, leaf)
+    return [(lo + a, lo + b) for a, b in filter(None, tree)], tree
 
 
 def _pair_sums(sums, data, group_a, group_b):
-    """Fill the rows of ``sums`` of group a with their distance sums to
-    the clusters of group b and, for two different groups, the other
-    way round.
+    """Fill the rows of group a with their distance sums to the clusters of
+    group b and the rows of group b with theirs to group a's clusters.
+    Group a is group b only for one cluster's own tile.
 
-    A tile that fits in ``_BLOCK_BYTES`` is computed once and read along
-    both sides (a group's own tile already holds both); its transpose is
-    copied in chunks of 1/64 of the budget, so that the sums run over
-    contiguous values.  A larger pair is measured in row blocks, both
-    ways.  The tile lives only in this call, so one is held at a time.
+    A tile that fits in ``_BLOCK_BYTES`` is computed once, whole.  Else
+    each side that is one cluster of more than sqrt(``_BLOCK_BYTES`` / 8)
+    rows is cut at nodes of its pairwise tree (``_cuts``), and each
+    sub-tile is computed once: its rows' sums are partial sums over a
+    leaf of the other side's cluster, added in that cluster's tree order
+    (``core.TreeSum``) as the leaves arrive, which is numpy's order for
+    the whole row.  An own tile computes only the sub-tiles on and above
+    its diagonal.  Each sub-tile is read along both sides, its transpose
+    in small contiguous chunks, and lives only while it is read, so one is
+    held at a time.
     """
     (lo_a, hi_a, spans_a), (lo_b, hi_b, spans_b) = group_a, group_b
-    x, y = data[lo_a:hi_a], data[lo_b:hi_b]
-    x_sums, y_sums = sums[lo_a:hi_a], sums[lo_b:hi_b]
-    if 8 * len(x) * len(y) > _BLOCK_BYTES:
-        _row_sums(x_sums, x, y, spans_b)
-        if group_a is not group_b:
-            _row_sums(y_sums, y, x, spans_a)
-        return
-    tile = _distances(x, y)
-    _slice_sums(x_sums, tile, spans_b)
-    if group_a is not group_b:
-        width = max(1, _BLOCK_BYTES // 64 // (8 * len(x)))
-        for c0 in range(0, len(y), width):
-            chunk = np.ascontiguousarray(tile[:, c0 : c0 + width].T)
-            _slice_sums(y_sums[c0 : c0 + width], chunk, spans_a)
+    own = group_a is group_b
+    if 8 * (hi_a - lo_a) * (hi_b - lo_b) <= _BLOCK_BYTES:
+        (cuts_a, tree_a), (cuts_b, tree_b) = ([(lo_a, hi_a)], None), ([(lo_b, hi_b)], None)
+    else:
+        leaf = max(128, isqrt(_BLOCK_BYTES // 8))
+        (cuts_a, tree_a), (cuts_b, tree_b) = _cuts(group_a, leaf), _cuts(group_b, leaf)
+    # a cut side's rows get partial sums over the leaves of the other side's one cluster
+    parts_a = [TreeSum(tree_b) for _ in cuts_a] if tree_b else None
+    parts_b = parts_a if own else [TreeSum(tree_a) for _ in cuts_b] if tree_a else None
+    for i, (a0, a1) in enumerate(cuts_a):
+        for k in range(i if own else 0, len(cuts_b)):
+            b0, b1 = cuts_b[k]
+            tile = _distances(data[a0:a1], data[b0:b1])
+            if parts_a:
+                parts_a[i].add(tile.sum(axis=1))
+            else:
+                _slice_sums(sums[a0:a1], tile, spans_b)
+            if own and k == i:
+                continue  # a diagonal sub-tile holds both sides already
+            if parts_b:
+                part = np.empty((b1 - b0, 1))
+                _transposed_sums(part, tile, [(0, 0, a1 - a0)])
+                parts_b[k].add(part[:, 0])
+            else:
+                _transposed_sums(sums[b0:b1], tile, spans_a)
+        if parts_a:
+            sums[a0:a1, spans_b[0][0]] = parts_a[i].total
+    if parts_b and not own:
+        for (b0, b1), part in zip(cuts_b, parts_b):
+            sums[b0:b1, spans_a[0][0]] = part.total
+
+
+def _group_own(sums, data, clustering, group):
+    """Fill the rows of a group with their distance sums to its own
+    clusters.
+
+    Each member's sums to itself come from its one ``pdist`` pass
+    (``_own_pairs``, perhaps run already by ``mean_pairwise_dist``), or,
+    for a cluster too large for one, from its own tile (``_pair_sums``).
+    The blocks between members are computed once, each member against
+    the members after it, and read along both sides.
+    """
+    lo, hi, spans = group
+    for j, c0, c1 in spans:
+        n = c1 - c0
+        if n == 1:
+            sums[lo + c0, j] = 0.0
+        elif n * (n - 1) // 2 <= _BLOCK_BYTES // 8:
+            pairs = _own_pairs(clustering[j], data[lo + c0 : lo + c1])
+            if pairs.member_sums is None:
+                raise NumericError(_OVERFLOW)
+            sums[lo + c0 : lo + c1, j] = pairs.member_sums
+        else:
+            member = (lo + c0, lo + c1, [(j, 0, n)])
+            _pair_sums(sums, data, member, member)
+    for t, (j, c0, c1) in enumerate(spans[:-1]):
+        tile = _distances(data[lo + c0 : lo + c1], data[lo + c1 : hi])
+        _slice_sums(sums[lo + c0 : lo + c1], tile, [(i, a - c1, b - c1) for i, a, b in spans[t + 1 :]])
+        _transposed_sums(sums[lo + c1 : hi], tile, [(j, 0, c1 - c0)])
+
+
+class _Table:
+    """Silhouette's sums[p, j], the total distance from point p to the
+    members of cluster j, and the tasks that fill it.
+
+    There is one task per group (its own tile) and one per unordered pair
+    of groups, largest first.  Each writes only its own entries, so they
+    may run in any order, on any threads.
+    """
+
+    def __init__(self, clustering: Clustering):
+        data = clustering.data
+        self.sums = np.empty((len(data), len(clustering)))
+        groups = _groups(clustering.starts)
+        work = []
+        for i, group in enumerate(groups):
+            size = group[1] - group[0]
+            work.append((size * size // 2, partial(_group_own, self.sums, data, clustering, group)))
+            for other in groups[i + 1 :]:
+                work.append((size * (other[1] - other[0]), partial(_pair_sums, self.sums, data, group, other)))
+        work.sort(key=lambda w: -w[0])
+        self.tasks = [partial(self._run, task) for _, task in work]
+        self._done: list = []
+
+    def _run(self, task) -> None:
+        task()
+        self._done.append(task)  # list.append is atomic: tasks may end on any thread
+
+    @property
+    def filled(self) -> bool:
+        return len(self._done) == len(self.tasks)
+
+
+def silhouette_tiles(clustering: Clustering) -> list:
+    """Silhouette's distance work on ``clustering``, as independent tasks,
+    largest first.
+
+    Run every task, in any order and on any threads; a later
+    ``silhouette(clustering)`` then reads the sums they filled instead of
+    computing them.  ``run_measure`` runs them on its ``--threads`` pool.
+    """
+    _check_clustering(clustering)
+    clustering.silhouette_table = table = _Table(clustering)
+    return table.tasks
 
 
 def silhouette(clustering: Clustering) -> float:
@@ -157,30 +332,36 @@ def silhouette(clustering: Clustering) -> float:
     cluster, s = (b - a) / max(a, b).  Points in singleton clusters
     score 0.  A distance that overflows float64 is a ``NumericError``.
 
-    The N x N distance matrix is never held.  Clusters of at least 128
-    points are tile groups of their own, and runs of smaller ones are
-    merged into groups of about 128.  Each unordered group pair a <= b
-    whose tile ``cdist(G_a, G_b)`` fits in 16 MiB is computed once: the
-    row sums of its column slices give G_a's distance sums to each of
-    G_b's clusters, and those of its transpose, copied in small column
-    chunks, G_b's sums to G_a's clusters; a group's own tile holds both
-    sides.  A pair whose tile does not fit is measured in blocks of rows,
-    G_a against G_b and then G_b against G_a, so memory stays at one
-    16 MiB tile at any N.  Every sum runs over the same values in the
-    same order as the full matrix's row slices (a distance is bitwise
-    symmetric), so the value is exactly the full-matrix one.
+    The N x N distance matrix is never held.  The total distance from
+    each point to each cluster is built from:
+
+    * each cluster's own pairs: its one ``pdist`` pass when its
+      condensed distances fit in 16 MiB (shared with
+      ``mean_pairwise_dist``, see ``ClusterView.keep_member_sums``), else
+      its own tile;
+    * one tile per unordered pair of tile groups (clusters of at least
+      128 points, and runs of smaller ones merged to about 128), and
+      inside a merged group only the blocks between its clusters.
+
+    Every tile is computed once and summed along both of its sides; a
+    tile over 16 MiB is cut at the nodes of numpy's pairwise tree, so that
+    each sub-tile, too, is computed once (``_pair_sums``), except that an
+    own tile's diagonal sub-tiles are computed whole.  Every sum runs
+    over the same values, in the same order, as the full matrix's row
+    slices (a distance is bitwise symmetric), so the value is exactly the
+    full-matrix one.  When ``silhouette_tiles`` has been run to the end on
+    this clustering, its sums are read instead.
     """
     _check_clustering(clustering)
-    data, starts = clustering.data, clustering.starts
-    groups = _groups(starts)
-    # sums[p, j]: total distance from point p to the members of cluster j
-    sums = np.empty((len(data), len(clustering)))
-    for i, group in enumerate(groups):
-        for other in groups[i:]:
-            _pair_sums(sums, data, group, other)
+    table = vars(clustering).pop("silhouette_table", None)
+    if table is None or not table.filled:
+        table = _Table(clustering)
+        for task in table.tasks:
+            task()
+    sums, starts = table.sums, clustering.starts
     sizes = np.diff(starts)
     own = np.repeat(np.arange(len(clustering)), sizes)
-    rows = np.arange(len(data))
+    rows = np.arange(len(sums))
     a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
     sums[rows, own] = np.inf  # b ranges over the other clusters only
     b = (sums / sizes).min(axis=1)

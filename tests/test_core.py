@@ -1,5 +1,8 @@
 import copy
 import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +116,36 @@ def test_a_clustering_copies_and_pickles_with_its_buffer():
         np.testing.assert_array_equal(clone.data, views.data)
         np.testing.assert_array_equal(clone.starts, views.starts)
         assert all(np.shares_memory(v.points, clone.data) for v in clone)
+
+
+def test_a_view_computes_what_it_keeps_once_across_threads():
+    # more threads than cores ask at once, with thread switches forced often
+    view = ClusterView(PointCloud([[0.0, 0.0], [1.0, 1.0]]))
+    start = threading.Barrier(8)
+    calls, got = [], []
+
+    def compute():
+        calls.append(threading.get_ident())
+        time.sleep(0.05)  # the other threads ask while this one computes
+        return len(calls)
+
+    def ask():
+        start.wait(timeout=10)
+        got.append(view.once("key", compute))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1 and got == [1] * 8
+    assert view.once("key", compute) == 1 and len(calls) == 1
 
 
 def test_split_clusters_length_mismatch():

@@ -126,6 +126,16 @@ def test_timings_with_a_fake_clock(monkeypatch):
     assert [(row["mean_seconds"], row["median_seconds"]) for row in rows] == [(1.0, 1.0), (1.0, 1.0)]
 
 
+def test_timing_keys_do_not_depend_on_threads():
+    # at 3 threads silhouette's tiles run on the pool and their seconds are summed
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.normal(size=(300, 4)))
+    assignment = ClusterAssignment(rng.integers(0, 5, size=300))
+    keys = [list(run_measure(cloud, assignment, vectors=50, threads=t).metadata["timings_s"]) for t in (1, 3)]
+    assert sorted(keys[0]) == sorted(keys[1])
+    assert {"silhouette", "mean_pairwise_dist"} <= set(keys[0])
+
+
 def test_clipped_eigenvalues_in_metadata():
     # cluster 1 lies on a line in 3-D, so its scatter has round-off negatives;
     # the cross's spectrum is exact

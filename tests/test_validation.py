@@ -1,8 +1,9 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
@@ -16,6 +17,7 @@ from isoclust import (
     davies_bouldin,
     mean_dist_to_centroid,
     mean_pairwise_dist,
+    run_measure,
     silhouette,
     split_clusters,
 )
@@ -248,37 +250,123 @@ def test_tiled_silhouette_is_bit_identical_to_the_full_matrix(views, group_rows,
         assert silhouette(views) == silhouette_full_matrix(views)
 
 
-def cdist_calls(monkeypatch, views):
-    """The number of pairs in each ``cdist`` call of one silhouette run,
-    whose value must equal the full-matrix one."""
+def distance_calls(monkeypatch, views):
+    """The number of pairs in each ``cdist`` and each ``pdist`` call of one
+    silhouette run, whose value must equal the full-matrix one."""
     expected = silhouette_full_matrix(views)
-    calls = []
+    cdist_pairs, pdist_pairs = [], []
 
     def counting_cdist(x, y):
-        calls.append(len(x) * len(y))
+        cdist_pairs.append(len(x) * len(y))
         return cdist(x, y)
 
+    def counting_pdist(x):
+        pdist_pairs.append(len(x) * (len(x) - 1) // 2)
+        return pdist(x)
+
     monkeypatch.setattr(validation, "cdist", counting_cdist)
+    monkeypatch.setattr(validation, "pdist", counting_pdist)
     assert silhouette(views) == expected
-    return calls
+    return cdist_pairs, pdist_pairs
 
 
 def test_silhouette_computes_each_pairwise_distance_once(monkeypatch):
     rng = np.random.default_rng(4)
     views = make_views(rng.normal(size=(1200, 3)), rng.integers(0, 4, size=1200))
-    calls = cdist_calls(monkeypatch, views)
+    cdist_pairs, pdist_pairs = distance_calls(monkeypatch, views)
     sizes = [v.size for v in views]
-    assert min(sizes) > 250 and len(calls) == 10
-    # one tile per unordered cluster pair, diagonal included: not N^2 = 1,440,000
-    assert sum(calls) == sum(sizes[i] * sizes[j] for i in range(4) for j in range(i, 4))
+    assert min(sizes) > 250
+    # one tile per unordered pair of distinct clusters, one pdist per cluster:
+    # N (N - 1) / 2 distances, not N^2 = 1,440,000
+    assert len(cdist_pairs) == 6 and sum(cdist_pairs) == sum(sizes[i] * sizes[j] for i in range(4) for j in range(i))
+    assert sorted(pdist_pairs) == sorted(n * (n - 1) // 2 for n in sizes)
 
 
 def test_small_clusters_share_tiles(monkeypatch):
-    # 512 clusters of 4 points: 16 groups of 128 points make 136 tiles,
-    # not one per cluster pair (131,328)
+    # 512 clusters of 4 points: 16 groups of 128 points make 120 tiles between
+    # groups and, inside each group, one block per cluster against the clusters
+    # after it; not one tile per cluster pair (130,816)
     rng = np.random.default_rng(5)
-    calls = cdist_calls(monkeypatch, make_views(rng.normal(size=(2048, 3)), np.arange(2048) % 512))
-    assert len(calls) == 16 * 17 // 2 and sum(calls) == 128**2 * 16 * 17 // 2
+    cdist_pairs, pdist_pairs = distance_calls(monkeypatch, make_views(rng.normal(size=(2048, 3)), np.arange(2048) % 512))
+    assert len(cdist_pairs) == 16 * 15 // 2 + 16 * 31 and pdist_pairs == [6] * 512
+    assert sum(cdist_pairs) + sum(pdist_pairs) == 2048 * 2047 // 2
+
+
+def without_metadata(report):
+    return {k: v for k, v in report.to_dict().items() if k != "metadata"}
+
+
+@settings(max_examples=30)
+@given(
+    sizes=st.lists(st.one_of(st.integers(1, 12), st.integers(100, 384)), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.integers(1, 3),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    budget=st.sampled_from([1024, 8 * 128**2, 3 * 8 * 128**2]),
+    group_rows=st.sampled_from([1, 16, 40]),
+)
+def test_shared_and_tree_cut_silhouette_is_bit_identical(sizes, seed, dims, scale, budget, group_rows):
+    # clusters of up to three times the 128-row leaf of a cut tile, so that
+    # pairwise trees run several levels deep, mixed with runs of small
+    # clusters that merge into multi-cluster groups.  Under these budgets a
+    # cluster's own pairs take one pdist (up to 16 or 181 or 314 points) or
+    # its own tile cut at tree nodes, and a pair of clusters over 128 points
+    # cuts its tile on one or both sides
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    points = rng.standard_t(3, (len(labels), dims)) * scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_BLOCK_BYTES", budget)
+        mp.setattr(validation, "_GROUP_ROWS", group_rows)
+        views = make_views(points, labels)
+        assert silhouette(views) == silhouette_full_matrix(views)
+        for view in views:
+            assert mean_pairwise_dist(view) == (pdist(view.points).mean() if view.size > 1 else 0.0)
+        cloud, assignment = PointCloud(points), ClusterAssignment(labels)
+        metrics = ["mean_pairwise_dist", "silhouette"]
+        serial = run_measure(cloud, assignment, metrics=metrics, threads=1)
+        assert serial.overall["silhouette"] == silhouette_full_matrix(views)
+        assert without_metadata(run_measure(cloud, assignment, metrics=metrics, threads=3)) == without_metadata(serial)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_measure_computes_each_distinct_pair_once(monkeypatch, threads):
+    # clusters that fit one pdist each, two groups of small clusters, and
+    # under a 128 KiB budget tiles between the large clusters that do not fit
+    sizes = [170, 150, 5, 7, 3, 9, 160, 1, 4, 2]
+    labels = np.random.default_rng(6).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    points = np.random.default_rng(7).normal(size=(len(labels), 3))
+    index = {row.tobytes(): i for i, row in enumerate(points)}
+    n = len(points)
+    counts = np.zeros(n * n, dtype=np.int64)
+    lock = threading.Lock()
+
+    def ids(x):
+        return np.array([index[row.tobytes()] for row in x])
+
+    def tally(p, q):
+        keep = p != q  # a point's distance to itself is no pair
+        with lock:
+            np.add.at(counts, np.minimum(p, q)[keep] * n + np.maximum(p, q)[keep], 1)
+
+    def counting_cdist(x, y, **kwargs):
+        p, q = np.meshgrid(ids(x), ids(y), indexing="ij")
+        tally(p.ravel(), q.ravel())
+        return cdist(x, y, **kwargs)
+
+    def counting_pdist(x):
+        i, j = np.triu_indices(len(x), 1)
+        tally(ids(x)[i], ids(x)[j])
+        return pdist(x)
+
+    monkeypatch.setattr(validation, "cdist", counting_cdist)
+    monkeypatch.setattr(validation, "pdist", counting_pdist)
+    monkeypatch.setattr(validation, "_BLOCK_BYTES", 8 * 128**2)
+    assert all(s * (s - 1) // 2 <= 128**2 for s in sizes)
+    run_measure(PointCloud(points), ClusterAssignment(labels), metrics=["silhouette", "mean_pairwise_dist"],
+                threads=threads)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1).ravel()
+    assert (counts[upper] == 1).all() and not counts[~upper].any()
 
 
 # one cluster's own tile overflows (its two far points are 1.8e154 apart), or
@@ -298,6 +386,10 @@ def test_silhouette_overflow_in_a_tile_raises(case, budget, group_rows):
         mp.setattr(validation, "_GROUP_ROWS", group_rows)
         with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
             silhouette(views)
+        # and from a task on run_measure's pool
+        cloud, assignment = PointCloud(np.asarray(case[0], dtype=float)), ClusterAssignment(case[1])
+        with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
+            run_measure(cloud, assignment, metrics=["silhouette"], threads=3)
 
 
 def test_silhouette_memory_is_one_tile_when_every_tile_fits():
