@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", type=int, default=DEFAULT_RND_COUNT, help="random directions for i_rnd")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fa-normalized", action="store_true", help="scale FA so a one-hot spectrum is 1")
-    p.add_argument("--threads", type=int, default=1, help="cap on per-cluster worker threads")
+    p.add_argument("--threads", type=int, default=1, help="cap on worker threads (at most one per CPU)")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="isotropy and timing across dimensionalities")

@@ -112,16 +112,14 @@ class ClusterView:
     total squared distance to the centroid overflows float64 (so its
     scatter would) raises ``NumericError``.
 
-    ``once`` keeps a result that several metrics read, such as the one
-    pass over the cluster's own pairs that ``mean_pairwise_dist`` and
-    silhouette share when ``keep_member_sums`` is set.
+    ``once`` keeps a result that several metrics read, such as the mean
+    of the cluster's own pairwise distances, which silhouette computes
+    on its way and ``mean_pairwise_dist`` reports.
     """
 
     def __init__(self, cloud: PointCloud, cluster_id: int = 0):
         self.cloud = cloud
         self.cluster_id = int(cluster_id)
-        # set when silhouette will read each member's distance sum to this cluster
-        self.keep_member_sums = False
         self._kept: dict = {}
         self._lock = threading.Lock()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -158,6 +156,16 @@ class ClusterView:
                 self._kept[key] = compute()
             return self._kept[key]
 
+    def __getstate__(self):  # a lock neither copies nor pickles: a copy gets its own lock and kept results
+        with self._lock:
+            state = dict(vars(self), _kept=dict(self._kept))
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._lock = threading.Lock()
+
     def __repr__(self) -> str:
         return f"ClusterView(id={self.cluster_id}, size={self.size}, n_dims={self.n_dims})"
 
@@ -165,7 +173,15 @@ class ClusterView:
 class Clustering(tuple):
     """The views of one clustering, in cluster-id order, and the buffer
     they share: ``data`` holds every point in cluster order, and cluster
-    i owns rows ``starts[i]:starts[i + 1]``, which are its view's points."""
+    i owns rows ``starts[i]:starts[i + 1]``, which are its view's points.
+
+    ``run`` is how the whole-clustering indices run their independent
+    tasks, called as ``run(fn, tasks)`` like builtin ``map``, which it is
+    unless set to a thread pool's ``map`` (as ``run_measure`` does while
+    it holds one).
+    """
+
+    run = map
 
     def __new__(cls, data: np.ndarray, starts: np.ndarray):
         bounds = enumerate(zip(starts, starts[1:]))

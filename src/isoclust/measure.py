@@ -1,22 +1,27 @@
 """The measurement path: every metric of one clustering.
 
 ``run_measure`` splits a cloud into clusters, computes the selected
-per-cluster metrics, averages the ones that have a global form
-weighted by cluster size, computes the whole-clustering indices and
-returns a :class:`MetricReport`, which checks every documented bound.
+whole-clustering indices, then the per-cluster metrics, averages the
+ones that have a global form weighted by cluster size, and returns a
+:class:`MetricReport`, which checks every documented bound.
 
 Each cluster's spectral summary is computed once and shared by
 ``var_lambda``, ``fa`` and ``i_vec``; the random direction set for
 ``i_rnd`` is drawn once and shared by every cluster; and each cluster's
-own pairwise distances are computed once, for ``mean_pairwise_dist`` and
-silhouette both.  With ``threads > 1`` the clusters and then silhouette's
-tiles are tasks on one thread pool.
+own pairwise distances are computed once: silhouette, which runs first,
+keeps their mean on the cluster's view for ``mean_pairwise_dist``.
+With ``threads > 1`` one thread pool, the only one in the package, runs
+silhouette's tiles and then the clusters; the indices get it as the
+clustering's ``run``.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -38,7 +43,6 @@ from .validation import (
     mean_dist_to_centroid,
     mean_pairwise_dist,
     silhouette,
-    silhouette_tiles,
 )
 from .zmeasure import (
     DEFAULT_RND_COUNT,
@@ -140,16 +144,15 @@ def run_measure(
     listed in ``skipped`` when the metrics are defaulted and raise a
     ``DataError`` when requested explicitly; a metric listed twice is a
     ``DataError``.  ``metadata["timings_s"]`` holds the wall-clock seconds
-    of each computed metric, summed over its tasks, plus
-    ``spectral_summary``: a per-cluster metric's over the clusters, and
-    silhouette's over its tiles, which at ``threads > 1`` run as tasks on
-    the same pool as the clusters, plus its final reduction.  So with
-    several threads the keys sum task seconds, not elapsed time.  The one
-    pass over a cluster's own pairs that feeds both ``mean_pairwise_dist``
-    and silhouette is counted under the metric whose task ran it:
-    ``mean_pairwise_dist`` when it is selected, unless a silhouette tile
-    on the pool reached the cluster first.  The key set does not depend
-    on ``threads``.  ``metadata["clipped_eigenvalues"]`` holds the
+    of each computed metric, plus ``spectral_summary``: a per-cluster
+    metric's summed over the clusters (so with several threads they sum
+    task seconds, not elapsed time), a whole-clustering index's elapsed.
+    The one pass over a cluster's own pairs that feeds both silhouette and
+    ``mean_pairwise_dist`` is counted under silhouette when it is
+    selected.  The key set does not depend on ``threads``.  With
+    ``threads > 1`` and at least 2 clusters, silhouette's tiles and then
+    the clusters run on a pool of ``min(threads, os.cpu_count())``
+    workers.  ``metadata["clipped_eigenvalues"]`` holds the
     ``count`` of negative round-off eigenvalues clamped to 0, summed over
     the clusters' spectral summaries, and the ``largest`` magnitude among
     them (0 and 0.0 when no spectral metric is selected).
@@ -163,29 +166,25 @@ def run_measure(
     rnd_set = random_unit_vectors(cloud.n_dims, vectors, seed) if "i_rnd" in selected else None
 
     names = [m for m in selected if METRICS[m].per_cluster]
-    tiled = "silhouette" in selected and len(views) > 1
-    if tiled:  # one pdist per cluster then feeds both mean_pairwise_dist and silhouette
-        for view in views:
-            view.keep_member_sums = True
-    ahead: dict[str, float] = {}  # seconds of whole-clustering work run on the pool
-    if threads > 1 and len(views) > 1:
-        tiles = silhouette_tiles(views) if tiled else []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            clusters = [pool.submit(_measure_cluster, v, names, rnd_set, fa_normalized) for v in views]
-            # after the clusters, largest first, so they fill the workers the clusters leave idle
-            tile_runs = [pool.submit(timed, tile) for tile in tiles]
+    whole: dict[str, float] = {}
+    timings: dict[str, float] = {}
+    skipped: dict[str, str] = {}
+    parallel = threads > 1 and len(views) > 1
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) if parallel else nullcontext() as pool:
+        if pool:
+            views.run = pool.map
+        for name in (m for m in selected if METRICS[m].of_clustering):
             try:
-                results = [f.result() for f in clusters]
-                ahead["silhouette"] = sum(f.result()[1] for f in tile_runs)
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-    else:
-        results = [_measure_cluster(v, names, rnd_set, fa_normalized) for v in views]
+                whole[name], timings[name] = timed(METRICS[name].of_clustering, views)
+            except DataError as exc:
+                if explicit:
+                    raise
+                skipped[name] = str(exc)
+        measure_one = partial(_measure_cluster, names=names, rnd_set=rnd_set, fa_normalized=fa_normalized)
+        results = list(views.run(measure_one, views))
 
     per_cluster: dict[str, list[float]] = {"size": [float(s) for s in sizes]}
     overall: dict[str, float] = {}
-    timings: dict[str, float] = {}
     for _, times, _ in results:
         for key, seconds in times.items():
             timings[key] = timings.get(key, 0.0) + seconds
@@ -193,17 +192,8 @@ def run_measure(
         per_cluster[name] = [values[name] for values, _, _ in results]
         if METRICS[name].global_name:
             overall[METRICS[name].global_name] = size_weighted_mean(per_cluster[name], sizes)
-
+    overall.update(whole)  # the indices ran first but follow the globals in ``overall``
     clipped = [c for _, _, c in results]
-    skipped: dict[str, str] = {}
-    for name in (m for m in selected if METRICS[m].of_clustering):
-        try:
-            overall[name], seconds = timed(METRICS[name].of_clustering, views)
-            timings[name] = ahead.get(name, 0.0) + seconds
-        except DataError as exc:
-            if explicit:
-                raise
-            skipped[name] = str(exc)
 
     return MetricReport(
         per_cluster=per_cluster,

@@ -6,29 +6,31 @@ whole-clustering indices take the ``Clustering`` of ``split_clusters``,
 at least 2 clusters for all but the size variance; silhouette and
 Calinski-Harabasz read its cluster-ordered buffer as it is.
 
-Silhouette and ``mean_pairwise_dist`` compute each distance once.  A
-cluster whose |C|(|C|-1)/2 distances fit in 16 MiB gets one ``pdist``,
-read twice: its mean is ``mean_pairwise_dist``, and its rows, rebuilt a
-few at a time, give the members' distance sums to their own cluster,
-which silhouette needs.  Silhouette computes only the distances between
+Silhouette and ``mean_pairwise_dist`` compute each distance once.  In
+silhouette a cluster whose |C|(|C|-1)/2 distances fit in 16 MiB gets one
+``pdist``, read twice: its rows, rebuilt a few at a time, give the
+members' distance sums to their own cluster, and its mean is kept on the
+cluster's view, where a later ``mean_pairwise_dist`` finds it; run
+alone, ``mean_pairwise_dist`` computes that ``pdist`` and keeps only its
+mean.  Silhouette otherwise computes only the distances between
 clusters, one tile per pair of clusters (small clusters merged into
 groups), each tile summed along both of its sides.  A tile over 16 MiB,
 and the own tile of a cluster too large for one ``pdist``, is cut at the
 nodes of numpy's pairwise summation tree (``core.pairwise_tree``), and
 each sub-tile, too, is computed once and read both ways; only the
 diagonal sub-tiles of an own tile are computed whole.  Silhouette never
-holds more than one 16 MiB tile, nor the N x N matrix, and its tiles are
-independent tasks (``silhouette_tiles``), which ``run_measure`` runs on
-its ``--threads`` pool.  ``mean_pairwise_dist`` of a larger cluster holds
-at most one 16 MiB node of its distances.  Every value is bitwise the one
-computed from the whole distance matrix or condensed array.
+holds more than one 16 MiB tile per thread, nor the N x N matrix; its
+tiles are independent tasks, run by the ``map`` it is given (in
+``run_measure``, the ``--threads`` pool's).  ``mean_pairwise_dist`` of a
+larger cluster holds at most one 16 MiB node of its distances.  Every
+value is bitwise the one computed from the whole distance matrix or
+condensed array.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from math import isqrt
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -51,26 +53,6 @@ _OVERFLOW = "silhouette pairwise distance overflows float64"
 def mean_dist_to_centroid(view: ClusterView) -> float:
     """Mean Euclidean distance of members to their centroid (= mu)."""
     return view.mu
-
-
-class _OwnPairs(NamedTuple):
-    mean: float  # pdist(points).mean()
-    member_sums: np.ndarray | None  # each member's distance sum to its cluster; None if a distance overflows
-
-
-def _own_pairs(view: ClusterView, points: np.ndarray) -> _OwnPairs:
-    """The one ``pdist`` pass over the pairs of a cluster of at least 2
-    ``points`` whose condensed distances fit in ``_BLOCK_BYTES``, computed
-    once and kept on its view: the condensed array itself is dropped."""
-
-    def compute():
-        dists = pdist(points)
-        mean = float(dists.mean())
-        if not np.isfinite(mean) and not np.isfinite(dists.max()):
-            return _OwnPairs(mean, None)
-        return _OwnPairs(mean, _member_sums(dists, len(points)))
-
-    return view.once("own_pairs", compute)
 
 
 def _member_sums(dists: np.ndarray, n: int) -> np.ndarray:
@@ -106,12 +88,12 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     """Mean distance over unordered distinct member pairs; 0 for a singleton.
 
     Bitwise ``pdist(points).mean()``.  When the |C|(|C|-1)/2 distances fit
-    in ``_BLOCK_BYTES`` and the view's ``keep_member_sums`` is set, this
-    ``pdist`` pass also keeps each member's distance sum, which silhouette
-    reads instead of computing the cluster's own pairs again.  When the
-    distances do not fit, they are summed by ``core.pairwise_sum`` one node
-    of at most that many bytes at a time, each node filled from ``cdist``
-    row segments (which equal ``pdist``'s entries bitwise).
+    in ``_BLOCK_BYTES``, the mean of their one ``pdist`` is kept on the
+    view (``once``), where silhouette, which computes that ``pdist`` too,
+    keeps it as well: after silhouette this only reads it.  When the
+    distances do not fit, they are summed by ``core.pairwise_sum`` one
+    node of at most that many bytes at a time, each node filled from
+    ``cdist`` row segments (which equal ``pdist``'s entries bitwise).
     """
     x, n = view.points, view.size
     if n < 2:
@@ -119,9 +101,7 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     count = n * (n - 1) // 2
     leaf = _BLOCK_BYTES // 8
     if count <= leaf:
-        if view.keep_member_sums:
-            return _own_pairs(view, x).mean
-        return float(pdist(x).mean())
+        return view.once("pdist_mean", lambda: float(pdist(x).mean()))
     buf = np.empty(leaf)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # row i, the pairs (i, i+1..n-1), ends at ends[i]
 
@@ -254,11 +234,12 @@ def _group_own(sums, data, clustering, group):
     """Fill the rows of a group with their distance sums to its own
     clusters.
 
-    Each member's sums to itself come from its one ``pdist`` pass
-    (``_own_pairs``, perhaps run already by ``mean_pairwise_dist``), or,
-    for a cluster too large for one, from its own tile (``_pair_sums``).
-    The blocks between members are computed once, each member against
-    the members after it, and read along both sides.
+    A member whose |C|(|C|-1)/2 distances fit in ``_BLOCK_BYTES`` gets one
+    ``pdist``: its rebuilt rows give the sums, and its mean is kept on the
+    member's view for ``mean_pairwise_dist``.  A larger member's sums come
+    from its own tile (``_pair_sums``).  The blocks between members are
+    computed once, each member against the members after it, and read
+    along both sides.
     """
     lo, hi, spans = group
     for j, c0, c1 in spans:
@@ -266,10 +247,12 @@ def _group_own(sums, data, clustering, group):
         if n == 1:
             sums[lo + c0, j] = 0.0
         elif n * (n - 1) // 2 <= _BLOCK_BYTES // 8:
-            pairs = _own_pairs(clustering[j], data[lo + c0 : lo + c1])
-            if pairs.member_sums is None:
+            dists = pdist(data[lo + c0 : lo + c1])
+            mean = float(dists.mean())
+            if not np.isfinite(mean) and not np.isfinite(dists.max()):
                 raise NumericError(_OVERFLOW)
-            sums[lo + c0 : lo + c1, j] = pairs.member_sums
+            clustering[j].once("pdist_mean", lambda: mean)
+            sums[lo + c0 : lo + c1, j] = _member_sums(dists, n)
         else:
             member = (lo + c0, lo + c1, [(j, 0, n)])
             _pair_sums(sums, data, member, member)
@@ -279,52 +262,11 @@ def _group_own(sums, data, clustering, group):
         _transposed_sums(sums[lo + c1 : hi], tile, [(j, 0, c1 - c0)])
 
 
-class _Table:
-    """Silhouette's sums[p, j], the total distance from point p to the
-    members of cluster j, and the tasks that fill it.
-
-    There is one task per group (its own tile) and one per unordered pair
-    of groups, largest first.  Each writes only its own entries, so they
-    may run in any order, on any threads.
-    """
-
-    def __init__(self, clustering: Clustering):
-        data = clustering.data
-        self.sums = np.empty((len(data), len(clustering)))
-        groups = _groups(clustering.starts)
-        work = []
-        for i, group in enumerate(groups):
-            size = group[1] - group[0]
-            work.append((size * size // 2, partial(_group_own, self.sums, data, clustering, group)))
-            for other in groups[i + 1 :]:
-                work.append((size * (other[1] - other[0]), partial(_pair_sums, self.sums, data, group, other)))
-        work.sort(key=lambda w: -w[0])
-        self.tasks = [partial(self._run, task) for _, task in work]
-        self._done: list = []
-
-    def _run(self, task) -> None:
-        task()
-        self._done.append(task)  # list.append is atomic: tasks may end on any thread
-
-    @property
-    def filled(self) -> bool:
-        return len(self._done) == len(self.tasks)
+def _call(task):
+    return task()
 
 
-def silhouette_tiles(clustering: Clustering) -> list:
-    """Silhouette's distance work on ``clustering``, as independent tasks,
-    largest first.
-
-    Run every task, in any order and on any threads; a later
-    ``silhouette(clustering)`` then reads the sums they filled instead of
-    computing them.  ``run_measure`` runs them on its ``--threads`` pool.
-    """
-    _check_clustering(clustering)
-    clustering.silhouette_table = table = _Table(clustering)
-    return table.tasks
-
-
-def silhouette(clustering: Clustering) -> float:
+def silhouette(clustering: Clustering, run=None) -> float:
     """Mean silhouette coefficient over all points.
 
     For each point: a = mean distance to its own cluster's other
@@ -332,16 +274,16 @@ def silhouette(clustering: Clustering) -> float:
     cluster, s = (b - a) / max(a, b).  Points in singleton clusters
     score 0.  A distance that overflows float64 is a ``NumericError``.
 
-    The N x N distance matrix is never held.  The total distance from
-    each point to each cluster is built from:
+    The N x N distance matrix is never held.  A table of the total
+    distance from each point to each cluster is filled by independent
+    tasks, each writing only its own entries:
 
-    * each cluster's own pairs: its one ``pdist`` pass when its
-      condensed distances fit in 16 MiB (shared with
-      ``mean_pairwise_dist``, see ``ClusterView.keep_member_sums``), else
-      its own tile;
-    * one tile per unordered pair of tile groups (clusters of at least
-      128 points, and runs of smaller ones merged to about 128), and
-      inside a merged group only the blocks between its clusters.
+    * one per tile group (clusters of at least 128 points, and runs of
+      smaller ones merged to about 128): each member cluster's own pairs,
+      from its one ``pdist`` when its condensed distances fit in 16 MiB
+      (whose mean ``mean_pairwise_dist`` then reads), else from its own
+      tile, and the blocks between the group's clusters;
+    * one tile per unordered pair of groups.
 
     Every tile is computed once and summed along both of its sides; a
     tile over 16 MiB is cut at the nodes of numpy's pairwise tree, so that
@@ -349,16 +291,25 @@ def silhouette(clustering: Clustering) -> float:
     own tile's diagonal sub-tiles are computed whole.  Every sum runs
     over the same values, in the same order, as the full matrix's row
     slices (a distance is bitwise symmetric), so the value is exactly the
-    full-matrix one.  When ``silhouette_tiles`` has been run to the end on
-    this clustering, its sums are read instead.
+    full-matrix one.
+
+    The tasks, largest first, go to ``run(fn, tasks)``, by default
+    ``clustering.run``: builtin ``map`` runs them one after the other,
+    a thread pool's ``map`` on its workers, with the same value.
     """
     _check_clustering(clustering)
-    table = vars(clustering).pop("silhouette_table", None)
-    if table is None or not table.filled:
-        table = _Table(clustering)
-        for task in table.tasks:
-            task()
-    sums, starts = table.sums, clustering.starts
+    data, starts = clustering.data, clustering.starts
+    sums = np.empty((len(data), len(clustering)))
+    groups = _groups(starts)
+    work = []
+    for i, group in enumerate(groups):
+        size = group[1] - group[0]
+        work.append((size * size // 2, partial(_group_own, sums, data, clustering, group)))
+        for other in groups[i + 1 :]:
+            work.append((size * (other[1] - other[0]), partial(_pair_sums, sums, data, group, other)))
+    work.sort(key=lambda w: -w[0])
+    for _ in (run or clustering.run)(_call, [task for _, task in work]):
+        pass
     sizes = np.diff(starts)
     own = np.repeat(np.arange(len(clustering)), sizes)
     rows = np.arange(len(sums))

@@ -116,6 +116,14 @@ def test_a_clustering_copies_and_pickles_with_its_buffer():
         np.testing.assert_array_equal(clone.data, views.data)
         np.testing.assert_array_equal(clone.starts, views.starts)
         assert all(np.shares_memory(v.points, clone.data) for v in clone)
+    # a lone view, too, with a kept result; a copy keeps it and locks on its own
+    view = views[0]
+    assert view.once("key", lambda: 1.5) == 1.5
+    for clone in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+        assert clone.cluster_id == 0 and clone.mu == view.mu
+        np.testing.assert_array_equal(clone.points, view.points)
+        assert clone.once("key", lambda: 2.5) == 1.5 and clone.once("other", lambda: 3.5) == 3.5
+    assert view.once("other", lambda: 4.5) == 4.5
 
 
 def test_a_view_computes_what_it_keeps_once_across_threads():

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import os
 import time
 import tracemalloc
 
@@ -134,6 +136,33 @@ def test_timing_keys_do_not_depend_on_threads():
     keys = [list(run_measure(cloud, assignment, vectors=50, threads=t).metadata["timings_s"]) for t in (1, 3)]
     assert sorted(keys[0]) == sorted(keys[1])
     assert {"silhouette", "mean_pairwise_dist"} <= set(keys[0])
+
+
+def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # the pool gets at most one worker per CPU whatever --threads asks;
+    # the stand-in pool runs its tasks in order and starts no thread
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(isoclust.measure, "ThreadPoolExecutor", SerialPool)
+    csv_path = tmp_path / "cross.csv"
+    csv_path.write_text("x,y,label\n1.0,0.0,a\n-1.0,0.0,a\n0.0,1.0,b\n0.0,-1.0,b\n3.0,1.0,b\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["measure", "--input", str(csv_path), "--label-column", "label", "--threads", "100000"]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert workers == [os.cpu_count() or 1]
+    assert json.loads(out.read_text(encoding="utf-8"))["params"]["threads"] == 100000
 
 
 def test_clipped_eigenvalues_in_metadata():

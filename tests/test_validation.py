@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -322,6 +323,9 @@ def test_shared_and_tree_cut_silhouette_is_bit_identical(sizes, seed, dims, scal
         assert silhouette(views) == silhouette_full_matrix(views)
         for view in views:
             assert mean_pairwise_dist(view) == (pdist(view.points).mean() if view.size > 1 else 0.0)
+        # the same tiles run on a pool's workers
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert silhouette(views, run=pool.map) == silhouette_full_matrix(views)
         cloud, assignment = PointCloud(points), ClusterAssignment(labels)
         metrics = ["mean_pairwise_dist", "silhouette"]
         serial = run_measure(cloud, assignment, metrics=metrics, threads=1)
@@ -367,6 +371,20 @@ def test_measure_computes_each_distinct_pair_once(monkeypatch, threads):
                 threads=threads)
     upper = np.triu(np.ones((n, n), dtype=bool), 1).ravel()
     assert (counts[upper] == 1).all() and not counts[~upper].any()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mean_pairwise_dist_alone_sums_no_member_rows(monkeypatch, threads):
+    # without silhouette the one pdist per cluster gives only its mean
+    def no_member_sums(dists, n):
+        raise AssertionError("member sums computed without silhouette")
+
+    monkeypatch.setattr(validation, "_member_sums", no_member_sums)
+    rng = np.random.default_rng(8)
+    points, labels = rng.normal(size=(300, 3)), rng.integers(0, 4, size=300)
+    report = run_measure(PointCloud(points), ClusterAssignment(labels), metrics=["mean_pairwise_dist"],
+                         threads=threads)
+    assert report.per_cluster["mean_pairwise_dist"] == [pdist(points[labels == j]).mean() for j in range(4)]
 
 
 # one cluster's own tile overflows (its two far points are 1.8e154 apart), or
