@@ -8,16 +8,31 @@ array, never a copy.  :func:`split_clusters` gathers a clustering's rows
 once, in cluster order, into a :class:`Clustering`: the cluster views,
 each a slice of that one buffer, which the whole-clustering indices read
 as it is.  :func:`timed` is the package's one clock.
+
+:func:`cdist` and :func:`pdist` are scipy's compiled Euclidean distance
+kernels, the C functions behind ``scipy.spatial.distance.cdist`` and
+``pdist`` for these metrics, so every distance is bitwise scipy's.  The
+extension that holds them is loaded by itself, under its own dotted
+name, without running ``scipy.spatial``'s ``__init__``: that import takes
+about 0.4 s and 29 MB of resident memory (kd-trees, qhull,
+``scipy.sparse``, ``scipy.linalg``), and the package imports no scipy
+module at all.  Where the extension or one of its functions is missing,
+they are ``scipy.spatial.distance``'s own, at that import's cost.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use: load it with the package, not inside a timed run
 
 
 class DataError(ValueError):
@@ -68,11 +83,16 @@ class PointCloud:
         return f"PointCloud(n_points={self.n_points}, n_dims={self.n_dims})"
 
 
+# the most empty ids a "non-contiguous labels" error names
+_NAMED_MISSING = 10
+
+
 class ClusterAssignment:
     """Cluster labels for every point of a cloud.
 
     Labels must be integers covering 0..k-1 with every id present
-    (rejected otherwise with a "non-contiguous labels" error).
+    (rejected otherwise with a "non-contiguous labels" error, which
+    names at most ten of the empty ids).
     """
 
     def __init__(self, labels):
@@ -88,10 +108,20 @@ class ClusterAssignment:
         if arr.min() < 0:
             raise DataError(f"negative label {arr.min()}")
         k = int(arr.max()) + 1
-        present = np.unique(arr)
-        if len(present) != k:
-            missing = sorted(set(range(k)) - set(present.tolist()))
-            raise DataError(f"non-contiguous labels: ids {missing} are empty")
+        ids = np.concatenate([[-1], np.sort(arr)])
+        steps = np.diff(ids)
+        gaps = np.flatnonzero(steps > 1)
+        if gaps.size:
+            # a gap holds the ids strictly between two present ones (or below the least)
+            missing = []
+            for lo, hi in zip(ids[gaps] + 1, ids[gaps + 1]):
+                missing.extend(range(lo, min(hi, lo + _NAMED_MISSING - len(missing))))
+                if len(missing) == _NAMED_MISSING:
+                    break
+            total = k - int(np.count_nonzero(steps))
+            if total <= _NAMED_MISSING:
+                raise DataError(f"non-contiguous labels: ids {missing} are empty")
+            raise DataError(f"non-contiguous labels: {total} ids are empty, the first {missing}")
         self.labels = arr
         self.k = k
 
@@ -309,6 +339,49 @@ def pairwise_sum(n: int, values, max_len: int) -> np.float64:
     for leaf in filter(None, tree):
         total.add(np.add.reduce(values(*leaf)))
     return total.total
+
+
+_DISTANCE_MODULE = "scipy.spatial._distance_pybind"
+
+
+def _distance_kernels():
+    """scipy's compiled ``cdist`` kernels by metric, and its ``pdist`` kernel.
+
+    The extension is found in scipy's directory (``find_spec`` imports
+    nothing) and loaded under its real dotted name, from which CPython
+    derives its ``PyInit_`` symbol and by which a later ``import
+    scipy.spatial`` in the same process shares the loaded module.  If
+    scipy's directory, the file or one of the three functions is
+    missing, they are ``scipy.spatial.distance``'s.
+    """
+    try:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        stem = os.path.join(scipy_dir, "spatial", "_distance_pybind")
+        path = next(filter(os.path.isfile, (stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES)), None)
+        if path is None:
+            raise ImportError(f"no {_DISTANCE_MODULE} extension in {os.path.dirname(stem)}")
+        spec = importlib.util.spec_from_file_location(_DISTANCE_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return {"euclidean": module.cdist_euclidean, "sqeuclidean": module.cdist_sqeuclidean}, module.pdist_euclidean
+    except (ImportError, AttributeError):
+        from scipy.spatial import distance
+
+        return {metric: partial(distance.cdist, metric=metric) for metric in ("euclidean", "sqeuclidean")}, distance.pdist
+
+
+_CDIST, _PDIST = _distance_kernels()
+
+
+def cdist(x, y, metric: str = "euclidean", *, out=None) -> np.ndarray:
+    """``scipy.spatial.distance.cdist(x, y, metric, out=out)`` for the
+    ``"euclidean"`` and ``"sqeuclidean"`` metrics, bitwise."""
+    return _CDIST[metric](x, y, out=out)
+
+
+def pdist(x) -> np.ndarray:
+    """``scipy.spatial.distance.pdist(x)``, Euclidean, bitwise."""
+    return _PDIST(x)
 
 
 def timed(fn, *args):

@@ -17,6 +17,8 @@ block by block and only up to k, and the squares behind the k-means++
 distances and the final inertia are formed a block of rows at a time.
 The final inertia is bitwise the sum of the whole N x d array of
 squares, because ``core.pairwise_sum`` replays numpy's summation tree.
+The squared distances come from ``core.cdist``, scipy's compiled
+``sqeuclidean`` kernel, which ``core`` loads by itself.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import ClusterAssignment, DataError, NumericError, PointCloud, pairwise_sum
+from .core import ClusterAssignment, DataError, NumericError, PointCloud, cdist, pairwise_sum
 
 MAX_ITER = 300
 # Byte budget of one block of rows (or of squares): what a run holds besides

@@ -24,7 +24,8 @@ tiles are independent tasks, run by the ``map`` it is given (in
 ``run_measure``, the ``--threads`` pool's).  ``mean_pairwise_dist`` of a
 larger cluster holds at most one 16 MiB node of its distances.  Every
 value is bitwise the one computed from the whole distance matrix or
-condensed array.
+condensed array.  ``cdist`` and ``pdist`` are ``core``'s: scipy's
+compiled kernels, which ``core`` loads by themselves.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from functools import partial
 from math import isqrt
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
-from .core import Clustering, ClusterView, DataError, NumericError, TreeSum, pairwise_sum, pairwise_tree
+from .core import Clustering, ClusterView, DataError, NumericError, TreeSum, cdist, pairwise_sum, pairwise_tree, pdist
 
 # Byte budget of one silhouette distance tile (a sub-tile of a larger one)
 # and of one cluster's condensed pdist array; also the budget of one node of

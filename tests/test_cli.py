@@ -706,6 +706,53 @@ def test_version_exits_zero(capsys):
     assert proc.stdout.startswith("isoclust ")
 
 
+# what a fresh interpreter loads: import isoclust.cli, run main(argv) for each
+# argv in argv[1] (a JSON list), and print the modules each step added
+_MODULES_LOADED = """
+import json
+import sys
+before = set(sys.modules)
+from isoclust.cli import main
+added = [sorted(set(sys.modules) - before)]
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    assert main(argv) == 0
+    added.append(sorted(set(sys.modules) - before))
+print(json.dumps(added))
+"""
+
+
+def modules_loaded(*argvs) -> list[list[str]]:
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, json.dumps(argvs)], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def is_scipy(module: str) -> bool:
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def test_the_cli_imports_no_scipy_module():
+    # the distance kernels are loaded without scipy.spatial, or any scipy package
+    imported, version = modules_loaded(["--version"])
+    assert "numpy" in imported
+    assert [m for m in imported + version if is_scipy(m)] == []
+
+
+def test_a_run_loads_no_numpy_or_scipy_module(tmp_path):
+    # set-up stays in set-up: numpy.random, which numpy 2 loads on first use,
+    # comes with the package, and nothing reaches for numpy.ma
+    src = tmp_path / "g.csv"
+    write_cloud_csv(src, PointCloud(np.random.default_rng(0).normal(size=(40, 3))))
+    measure = ["measure", "--input", str(src), "--kmeans", "2", "--output", str(tmp_path / "r.json")]
+    cluster = ["cluster", "--input", str(src), "--kmeans", "2", "--output", str(tmp_path / "c.csv")]
+    imported, *runs = modules_loaded(measure, cluster)
+    assert "numpy.random" in imported
+    for added in runs:
+        assert [m for m in added if m.startswith("numpy.") or is_scipy(m)] == []
+
+
 # run main in a fresh interpreter whose address space is capped at argv[1] bytes
 _MEASURE_LIMITED = """
 import resource

@@ -1,13 +1,19 @@
 import copy
+import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import distance
 
 from isoclust import (
     ClusterAssignment,
@@ -17,10 +23,11 @@ from isoclust import (
     NumericError,
     PointCloud,
     center_and_scale,
+    core,
     size_weighted_mean,
     split_clusters,
 )
-from isoclust.core import pairwise_sum
+from isoclust.core import cdist, pairwise_sum, pdist
 
 
 def test_point_cloud_basic():
@@ -60,6 +67,24 @@ def test_assignment_rejects_gaps_and_negatives():
             ClusterAssignment(labels)
     with pytest.raises(DataError):
         ClusterAssignment([])
+
+
+def test_assignment_gap_error_names_ten_ids_at_most():
+    # up to ten empty ids, each is named
+    for labels, missing in (([0, 2, 2], [1]), ([3, 3], [0, 1, 2]), ([1, 12, 5, 12], [0, 2, 3, 4, 6, 7, 8, 9, 10, 11])):
+        with pytest.raises(DataError) as err:
+            ClusterAssignment(labels)
+        assert str(err.value) == f"non-contiguous labels: ids {missing} are empty"
+    with pytest.raises(DataError) as err:
+        ClusterAssignment([0, 3, 5, 20])
+    assert str(err.value) == "non-contiguous labels: 17 ids are empty, the first [1, 2, 4, 6, 7, 8, 9, 10, 11, 12]"
+    # the error's cost follows the labels given, not the largest of them
+    for largest in (10**12, 2**63 - 1):
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=f"non-contiguous labels: {largest - 1} ids are empty") as err:
+            ClusterAssignment([0, largest])
+        assert time.perf_counter() - start < 0.5
+        assert len(str(err.value)) < 100
 
 
 def test_split_clusters_orders_by_id():
@@ -271,3 +296,93 @@ def test_pairwise_sum_replays_numpy_bitwise(n, max_len, seed, scale):
 def test_pairwise_sum_leaves_are_at_least_numpys_shortest_split():
     with pytest.raises(ValueError, match="at least 128"):
         pairwise_sum(1000, lambda lo, hi: np.zeros(hi - lo), 127)
+
+
+# --- scipy's distance kernels ---------------------------------------------------
+
+
+@st.composite
+def point_pairs(draw):
+    """Two point sets of one dimension, 1-row and 1-column ones included,
+    with values up to 1e154, where a squared distance overflows to inf."""
+    d = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150, 1e154]))
+    element = st.floats(-1.0, 1.0, allow_subnormal=False).map(lambda v: v * scale)
+    x = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=element))
+    y = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=element))
+    return x, y
+
+
+@given(point_pairs())
+def test_distance_kernels_are_scipys_bitwise(pair):
+    x, y = pair
+    for metric in ("euclidean", "sqeuclidean"):
+        assert cdist(x, y, metric).tobytes() == distance.cdist(x, y, metric).tobytes()
+        # a row written into a longer buffer, as mean_pairwise_dist streams them
+        buf = np.full(len(y) + 3, -1.0)
+        row = buf[2:2 + len(y)].reshape(1, -1)
+        assert cdist(x[-1:], y, metric, out=row) is row
+        assert row.tobytes() == distance.cdist(x[-1:], y, metric).tobytes()
+        assert buf[:2].tolist() == [-1.0, -1.0] and buf[-1] == -1.0
+    assert cdist(x, y).tobytes() == distance.cdist(x, y).tobytes()
+    assert pdist(x).tobytes() == distance.pdist(x).tobytes()
+
+
+def test_distance_kernels_at_overflow_are_inf():
+    x = np.array([[1e154, -1e154], [-1e154, 1e154]])
+    assert np.isinf(cdist(x, x)[0, 1]) and np.isinf(distance.cdist(x, x)[0, 1])
+    assert np.isinf(pdist(x)).all()
+
+
+def test_the_installed_scipy_takes_the_direct_path():
+    # scipy.spatial.distance's kernels are the ones loaded by themselves: the
+    # extension is one module, whichever import loaded it first
+    kernels = distance._distance_pybind
+    assert core._CDIST == {"euclidean": kernels.cdist_euclidean, "sqeuclidean": kernels.cdist_sqeuclidean}
+    assert core._PDIST is kernels.pdist_euclidean
+
+
+# k-means and silhouette in a fresh interpreter; with argv[1] "fallback" the
+# extension cannot be found, so scipy.spatial.distance's own cdist and pdist
+# serve them
+_KMEANS_AND_SILHOUETTE = """
+import importlib.util
+import json
+import sys
+
+if sys.argv[1] == "fallback":
+    find_spec = importlib.util.find_spec
+
+    def no_scipy(name, package=None):
+        if name == "scipy":
+            raise ImportError("the distance kernels cannot be found")
+        return find_spec(name, package)
+
+    importlib.util.find_spec = no_scipy
+import numpy as np
+from isoclust import core, kmeans, mean_pairwise_dist, silhouette, split_clusters, PointCloud
+
+cloud = PointCloud(np.random.default_rng(11).standard_t(3, size=(600, 3)))
+result = kmeans(cloud, 5, seed=3)
+views = split_clusters(cloud, result.assignment)
+print(json.dumps({
+    "pdist": core._PDIST.__module__,
+    "labels": result.assignment.labels.tolist(),
+    "centroids": result.centroids.tobytes().hex(),
+    "inertia": result.inertia.hex(),
+    "silhouette": silhouette(views).hex(),
+    "mean_pairwise_dist": [mean_pairwise_dist(v).hex() for v in views],
+}))
+"""
+
+
+def test_the_fallback_gives_the_same_kmeans_and_silhouette():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    direct, fallback = (
+        json.loads(subprocess.run([sys.executable, "-c", _KMEANS_AND_SILHOUETTE, path], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120).stdout)
+        for path in ("direct", "fallback")
+    )
+    assert direct.pop("pdist") == "scipy.spatial._distance_pybind"
+    assert fallback.pop("pdist") == "scipy.spatial.distance"
+    assert direct == fallback
