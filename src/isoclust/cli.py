@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import encodings.utf_8_sig  # the CSV reader's codec: load it with the package, not inside a timed run
 import json
+import locale  # argparse's gettext loads it on the first parse: likewise
 import sys
 from array import array
 from contextlib import contextmanager

@@ -25,7 +25,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -92,7 +91,8 @@ class ClusterAssignment:
 
     Labels must be integers covering 0..k-1 with every id present
     (rejected otherwise with a "non-contiguous labels" error, which
-    names at most ten of the empty ids).
+    names at most ten of the empty ids).  A label that int64 cannot
+    hold is rejected by value.
     """
 
     def __init__(self, labels):
@@ -103,7 +103,12 @@ class ClusterAssignment:
             flt = np.asarray(labels, dtype=np.float64)
             if not np.all(flt == np.floor(flt)):
                 raise DataError("labels must be integers")
-            arr = flt.astype(np.int64)
+            arr = flt
+        if not np.can_cast(arr.dtype, np.int64):
+            # a float or uint64 label past int64 would wrap in the cast
+            outside = arr[(arr < -(2**63)) | (arr >= 2**63)]
+            if outside.size:
+                raise DataError(f"label {outside[0]} is outside the int64 range")
         arr = arr.astype(np.int64)
         if arr.min() < 0:
             raise DataError(f"negative label {arr.min()}")
@@ -142,16 +147,15 @@ class ClusterView:
     total squared distance to the centroid overflows float64 (so its
     scatter would) raises ``NumericError``.
 
-    ``once`` keeps a result that several metrics read, such as the mean
-    of the cluster's own pairwise distances, which silhouette computes
-    on its way and ``mean_pairwise_dist`` reports.
+    ``pdist_mean`` is None, or the mean of the cluster's own pairwise
+    distances, which silhouette computes on its way and leaves here for
+    ``mean_pairwise_dist`` to report.
     """
 
     def __init__(self, cloud: PointCloud, cluster_id: int = 0):
         self.cloud = cloud
         self.cluster_id = int(cluster_id)
-        self._kept: dict = {}
-        self._lock = threading.Lock()
+        self.pdist_mean = None
         with np.errstate(over="ignore", invalid="ignore"):
             self.centroid = cloud.data.mean(axis=0)
             deviations = cloud.data - self.centroid
@@ -176,25 +180,6 @@ class ClusterView:
     @property
     def degenerate(self) -> bool:
         return self.mu == 0.0
-
-    def once(self, key: str, compute):
-        """``compute()``, called on the first request for ``key`` and kept:
-        later requests, from any thread, get the kept result, and one made
-        while it is being computed waits for it."""
-        with self._lock:
-            if key not in self._kept:
-                self._kept[key] = compute()
-            return self._kept[key]
-
-    def __getstate__(self):  # a lock neither copies nor pickles: a copy gets its own lock and kept results
-        with self._lock:
-            state = dict(vars(self), _kept=dict(self._kept))
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"ClusterView(id={self.cluster_id}, size={self.size}, n_dims={self.n_dims})"
@@ -263,6 +248,11 @@ def size_weighted_mean(values, sizes) -> float:
     if np.any(s <= 0):
         raise DataError("cluster sizes must be positive")
     return float((v * s).sum() / s.sum())
+
+
+def block_rows(n_cols: int, budget: int) -> int:
+    """Rows of ``n_cols`` float64 values that fit in ``budget`` bytes, at least one."""
+    return max(1, budget // (8 * n_cols))
 
 
 # numpy's PW_BLOCKSIZE: np.add.reduce sums a stretch this short without splitting it

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterAssignment, DataError, NumericError, PointCloud, cdist, pairwise_sum
+from .core import ClusterAssignment, DataError, NumericError, PointCloud, block_rows, cdist, pairwise_sum
 
 MAX_ITER = 300
 # Byte budget of one block of rows (or of squares): what a run holds besides
@@ -45,10 +45,6 @@ class KMeansResult:
     inertia_history: list[float]
 
 
-def _block_rows(n_dims: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n_dims))
-
-
 def _squares(data: np.ndarray, centre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``(data - centre) ** 2`` written into ``out``, which may be ``centre``."""
     np.subtract(data, centre, out=out)
@@ -59,7 +55,7 @@ def _row_squares(data: np.ndarray, centre: np.ndarray):
     """Each block of rows' start and its rows' squared distances to
     ``centre``.  ``sum(axis=1)`` reduces each row alone, so the values are
     those of the whole N x d array of squares."""
-    rows = _block_rows(data.shape[1])
+    rows = block_rows(data.shape[1], _BLOCK_BYTES)
     buf = np.empty((min(rows, len(data)), data.shape[1]))
     for lo in range(0, len(data), rows):
         block = data[lo:lo + rows]
@@ -103,7 +99,7 @@ def _count_distinct_rows(data: np.ndarray, at_most: int) -> int:
     are ``==``.
     """
     width = np.dtype((np.void, 8 * data.shape[1]))
-    rows = _block_rows(data.shape[1])
+    rows = block_rows(data.shape[1], _BLOCK_BYTES)
     seen = np.empty(0, dtype=width)
     for lo in range(0, len(data), rows):
         block = np.add(data[lo:lo + rows], 0.0, order="C").view(width).ravel()

@@ -9,7 +9,7 @@ Each cluster's spectral summary is computed once and shared by
 ``var_lambda``, ``fa`` and ``i_vec``; the random direction set for
 ``i_rnd`` is drawn once and shared by every cluster; and each cluster's
 own pairwise distances are computed once: silhouette, which runs first,
-keeps their mean on the cluster's view for ``mean_pairwise_dist``.
+leaves their mean in the view's ``pdist_mean`` for ``mean_pairwise_dist``.
 With ``threads > 1`` one thread pool, the only one in the package, runs
 silhouette's tiles and then the clusters; the indices get it as the
 clustering's ``run``.

@@ -9,10 +9,10 @@ Calinski-Harabasz read its cluster-ordered buffer as it is.
 Silhouette and ``mean_pairwise_dist`` compute each distance once.  In
 silhouette a cluster whose |C|(|C|-1)/2 distances fit in 16 MiB gets one
 ``pdist``, read twice: its rows, rebuilt a few at a time, give the
-members' distance sums to their own cluster, and its mean is kept on the
-cluster's view, where a later ``mean_pairwise_dist`` finds it; run
-alone, ``mean_pairwise_dist`` computes that ``pdist`` and keeps only its
-mean.  Silhouette otherwise computes only the distances between
+members' distance sums to their own cluster, and its mean goes to the
+view's ``pdist_mean``, where a later ``mean_pairwise_dist`` finds it; run
+alone, ``mean_pairwise_dist`` computes that ``pdist`` for its mean and
+keeps nothing.  Silhouette otherwise computes only the distances between
 clusters, one tile per pair of clusters (small clusters merged into
 groups), each tile summed along both of its sides.  A tile over 16 MiB,
 and the own tile of a cluster too large for one ``pdist``, is cut at the
@@ -20,12 +20,12 @@ nodes of numpy's pairwise summation tree (``core.pairwise_tree``), and
 each sub-tile, too, is computed once and read both ways; only the
 diagonal sub-tiles of an own tile are computed whole.  Silhouette never
 holds more than one 16 MiB tile per thread, nor the N x N matrix; its
-tiles are independent tasks, run by the ``map`` it is given (in
-``run_measure``, the ``--threads`` pool's).  ``mean_pairwise_dist`` of a
-larger cluster holds at most one 16 MiB node of its distances.  Every
-value is bitwise the one computed from the whole distance matrix or
-condensed array.  ``cdist`` and ``pdist`` are ``core``'s: scipy's
-compiled kernels, which ``core`` loads by themselves.
+tiles are independent tasks, run by the clustering's ``run`` (in
+``run_measure``, the ``--threads`` pool's ``map``).
+``mean_pairwise_dist`` of a larger cluster holds at most one 16 MiB node
+of its distances.  Every value is bitwise the one computed from the
+whole distance matrix or condensed array.  ``cdist`` and ``pdist`` are
+``core``'s: scipy's compiled kernels, which ``core`` loads by themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import Clustering, ClusterView, DataError, NumericError, TreeSum, cdist, pairwise_sum, pairwise_tree, pdist
+from .core import Clustering, ClusterView, DataError, NumericError, TreeSum, block_rows, cdist, pairwise_sum, pairwise_tree, pdist
 
 # Byte budget of one silhouette distance tile (a sub-tile of a larger one)
 # and of one cluster's condensed pdist array; also the budget of one node of
@@ -63,7 +63,7 @@ def _member_sums(dists: np.ndarray, n: int) -> np.ndarray:
     whole (zero diagonal included) and summed; the n x n matrix is never
     held.
     """
-    step = max(1, min(n, _BLOCK_BYTES // 64 // (8 * n)))
+    step = min(n, block_rows(n, _BLOCK_BYTES // 64))
     index = np.arange(n + 1)
     starts = index * (2 * n - index - 1) // 2  # row p's pairs (p, p+1..n-1): dists[starts[p]:starts[p + 1]]
     above = starts[:n] - index[:n] - 1  # pair (q, p) with q < p: dists[above[q] + p]
@@ -87,21 +87,23 @@ def _member_sums(dists: np.ndarray, n: int) -> np.ndarray:
 def mean_pairwise_dist(view: ClusterView) -> float:
     """Mean distance over unordered distinct member pairs; 0 for a singleton.
 
-    Bitwise ``pdist(points).mean()``.  When the |C|(|C|-1)/2 distances fit
-    in ``_BLOCK_BYTES``, the mean of their one ``pdist`` is kept on the
-    view (``once``), where silhouette, which computes that ``pdist`` too,
-    keeps it as well: after silhouette this only reads it.  When the
-    distances do not fit, they are summed by ``core.pairwise_sum`` one
+    Bitwise ``pdist(points).mean()``.  After silhouette, which computes
+    that mean on its way when the |C|(|C|-1)/2 distances fit in
+    ``_BLOCK_BYTES``, this returns the view's ``pdist_mean``.  Otherwise,
+    when they fit, it is the mean of one ``pdist``, which is not kept.
+    When they do not fit, they are summed by ``core.pairwise_sum`` one
     node of at most that many bytes at a time, each node filled from
     ``cdist`` row segments (which equal ``pdist``'s entries bitwise).
     """
     x, n = view.points, view.size
     if n < 2:
         return 0.0
+    if view.pdist_mean is not None:
+        return view.pdist_mean
     count = n * (n - 1) // 2
     leaf = _BLOCK_BYTES // 8
     if count <= leaf:
-        return view.once("pdist_mean", lambda: float(pdist(x).mean()))
+        return float(pdist(x).mean())
     buf = np.empty(leaf)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # row i, the pairs (i, i+1..n-1), ends at ends[i]
 
@@ -164,7 +166,7 @@ def _slice_sums(out, dists, spans):
 def _transposed_sums(out, tile, spans):
     """``_slice_sums`` of ``tile.T``, copied in contiguous chunks of 1/64
     of the budget, so that the sums run over contiguous values."""
-    width = max(1, _BLOCK_BYTES // 64 // (8 * len(tile)))
+    width = block_rows(len(tile), _BLOCK_BYTES // 64)
     for c0 in range(0, tile.shape[1], width):
         _slice_sums(out[c0 : c0 + width], np.ascontiguousarray(tile[:, c0 : c0 + width].T), spans)
 
@@ -235,11 +237,11 @@ def _group_own(sums, data, clustering, group):
     clusters.
 
     A member whose |C|(|C|-1)/2 distances fit in ``_BLOCK_BYTES`` gets one
-    ``pdist``: its rebuilt rows give the sums, and its mean is kept on the
-    member's view for ``mean_pairwise_dist``.  A larger member's sums come
-    from its own tile (``_pair_sums``).  The blocks between members are
-    computed once, each member against the members after it, and read
-    along both sides.
+    ``pdist``: its rebuilt rows give the sums, and its mean goes to the
+    member's ``pdist_mean`` for ``mean_pairwise_dist``.  A larger member's
+    sums come from its own tile (``_pair_sums``).  The blocks between
+    members are computed once, each member against the members after it,
+    and read along both sides (``_pair_sums`` again).
     """
     lo, hi, spans = group
     for j, c0, c1 in spans:
@@ -251,22 +253,21 @@ def _group_own(sums, data, clustering, group):
             mean = float(dists.mean())
             if not np.isfinite(mean) and not np.isfinite(dists.max()):
                 raise NumericError(_OVERFLOW)
-            clustering[j].once("pdist_mean", lambda: mean)
+            clustering[j].pdist_mean = mean
             sums[lo + c0 : lo + c1, j] = _member_sums(dists, n)
         else:
             member = (lo + c0, lo + c1, [(j, 0, n)])
             _pair_sums(sums, data, member, member)
     for t, (j, c0, c1) in enumerate(spans[:-1]):
-        tile = _distances(data[lo + c0 : lo + c1], data[lo + c1 : hi])
-        _slice_sums(sums[lo + c0 : lo + c1], tile, [(i, a - c1, b - c1) for i, a, b in spans[t + 1 :]])
-        _transposed_sums(sums[lo + c1 : hi], tile, [(j, 0, c1 - c0)])
+        rest = (lo + c1, hi, [(i, a - c1, b - c1) for i, a, b in spans[t + 1 :]])
+        _pair_sums(sums, data, (lo + c0, lo + c1, [(j, 0, c1 - c0)]), rest)
 
 
 def _call(task):
     return task()
 
 
-def silhouette(clustering: Clustering, run=None) -> float:
+def silhouette(clustering: Clustering) -> float:
     """Mean silhouette coefficient over all points.
 
     For each point: a = mean distance to its own cluster's other
@@ -281,7 +282,7 @@ def silhouette(clustering: Clustering, run=None) -> float:
     * one per tile group (clusters of at least 128 points, and runs of
       smaller ones merged to about 128): each member cluster's own pairs,
       from its one ``pdist`` when its condensed distances fit in 16 MiB
-      (whose mean ``mean_pairwise_dist`` then reads), else from its own
+      (whose mean it leaves in the view's ``pdist_mean``), else from its own
       tile, and the blocks between the group's clusters;
     * one tile per unordered pair of groups.
 
@@ -293,9 +294,10 @@ def silhouette(clustering: Clustering, run=None) -> float:
     slices (a distance is bitwise symmetric), so the value is exactly the
     full-matrix one.
 
-    The tasks, largest first, go to ``run(fn, tasks)``, by default
-    ``clustering.run``: builtin ``map`` runs them one after the other,
-    a thread pool's ``map`` on its workers, with the same value.
+    The tasks, largest first, go to ``clustering.run(fn, tasks)``:
+    builtin ``map`` runs them one after the other, a thread pool's
+    ``map``, set as ``clustering.run``, on its workers, with the same
+    value.
     """
     _check_clustering(clustering)
     data, starts = clustering.data, clustering.starts
@@ -308,7 +310,7 @@ def silhouette(clustering: Clustering, run=None) -> float:
         for other in groups[i + 1 :]:
             work.append((size * (other[1] - other[0]), partial(_pair_sums, sums, data, group, other)))
     work.sort(key=lambda w: -w[0])
-    for _ in (run or clustering.run)(_call, [task for _, task in work]):
+    for _ in clustering.run(_call, [task for _, task in work]):
         pass
     sizes = np.diff(starts)
     own = np.repeat(np.arange(len(clustering)), sizes)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterView, DataError, NumericError, center_and_scale, check_bounds, timed
+from .core import ClusterView, DataError, NumericError, block_rows, center_and_scale, check_bounds, timed
 from .spectral import SpectralSummary, spectral_summary
 from .synth import check_cluster_shape, gaussian_cluster
 
@@ -117,16 +117,11 @@ def random_unit_vectors(n_dims: int, count: int, seed: int) -> DirectionSet:
     raw = rng.standard_normal((count, n_dims))
     # a row's norm reduces that row alone, so blocks of rows give the same
     # bits without a count x n temporary of squares
-    step = _block_rows(n_dims)
+    step = block_rows(n_dims, _WORK_BYTES)
     for r0 in range(0, count, step):
         block = raw[r0 : r0 + step]
         block /= np.linalg.norm(block, axis=1)[:, None]
     return DirectionSet(raw)
-
-
-def _block_rows(n_cols: int) -> int:
-    """Rows of ``n_cols`` float64 values that fit in ``_WORK_BYTES``, at least one."""
-    return max(1, _WORK_BYTES // (8 * n_cols))
 
 
 def z_raw(view: ClusterView, a) -> float:
@@ -162,7 +157,7 @@ def _log_sum_exp(e: np.ndarray) -> np.ndarray:
     logarithms take a finite argument of at least 1.
 
     ``e`` is C-contiguous, as a product is.  With at least 2 columns it
-    is streamed through one work block of ``_block_rows`` rows plus a
+    is streamed through one work block of ``_WORK_BYTES`` of rows plus a
     row 0 that carries the column sums: numpy's sum along axis 0 of such
     an array adds whole rows in order, so summing the carried row with
     the next block's exponentials continues that one sum.  A single
@@ -179,7 +174,7 @@ def _log_sum_exp(e: np.ndarray) -> np.ndarray:
         cnt = ties.sum(0, dtype=np.float64)
         s = work.sum(0)
     else:
-        step = min(_block_rows(e.shape[1]), len(e))
+        step = min(block_rows(e.shape[1], _WORK_BYTES), len(e))
         work = np.zeros((step + 1, e.shape[1]))
         ties = np.empty((step, e.shape[1]), dtype=bool)
         cnt, s = np.zeros(e.shape[1]), np.empty(e.shape[1])

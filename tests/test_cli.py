@@ -742,15 +742,15 @@ def test_the_cli_imports_no_scipy_module():
 
 def test_a_run_loads_no_numpy_or_scipy_module(tmp_path):
     # set-up stays in set-up: numpy.random, which numpy 2 loads on first use,
-    # comes with the package, and nothing reaches for numpy.ma
+    # comes with the package, as do argparse's locale and the CSV reader's
+    # codec, and a run loads no module at all
     src = tmp_path / "g.csv"
     write_cloud_csv(src, PointCloud(np.random.default_rng(0).normal(size=(40, 3))))
     measure = ["measure", "--input", str(src), "--kmeans", "2", "--output", str(tmp_path / "r.json")]
     cluster = ["cluster", "--input", str(src), "--kmeans", "2", "--output", str(tmp_path / "c.csv")]
     imported, *runs = modules_loaded(measure, cluster)
     assert "numpy.random" in imported
-    for added in runs:
-        assert [m for m in added if m.startswith("numpy.") or is_scipy(m)] == []
+    assert runs == [[], []]
 
 
 # run main in a fresh interpreter whose address space is capped at argv[1] bytes

@@ -325,7 +325,8 @@ def test_shared_and_tree_cut_silhouette_is_bit_identical(sizes, seed, dims, scal
             assert mean_pairwise_dist(view) == (pdist(view.points).mean() if view.size > 1 else 0.0)
         # the same tiles run on a pool's workers
         with ThreadPoolExecutor(max_workers=3) as pool:
-            assert silhouette(views, run=pool.map) == silhouette_full_matrix(views)
+            views.run = pool.map
+            assert silhouette(views) == silhouette_full_matrix(views)
         cloud, assignment = PointCloud(points), ClusterAssignment(labels)
         metrics = ["mean_pairwise_dist", "silhouette"]
         serial = run_measure(cloud, assignment, metrics=metrics, threads=1)
