@@ -23,6 +23,7 @@ import json
 import locale  # argparse's gettext loads it on the first parse: likewise
 import sys
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
@@ -93,7 +94,7 @@ def read_cloud_csv(path, label_column: str | None = None):
         if header is None:
             raise DataError(f"{path}: empty file")
         if len(set(header)) != len(header):
-            repeated = sorted({name for name in header if header.count(name) > 1})
+            repeated = sorted(name for name, count in Counter(header).items() if count > 1)
             raise DataError(f"{path}: the header names {repeated} more than once")
         if "label" in header and label_column != "label":
             raise DataError(

@@ -9,6 +9,11 @@ once, in cluster order, into a :class:`Clustering`: the cluster views,
 each a slice of that one buffer, which the whole-clustering indices read
 as it is.  :func:`timed` is the package's one clock.
 
+:func:`pairwise_split` is where ``np.add.reduce`` halves a run of values
+it sums, so that a sum assembled from halves' sums, as
+:func:`pairwise_sum` and silhouette's tiles assemble theirs, is bitwise
+numpy's.
+
 :func:`cdist` and :func:`pdist` are scipy's compiled Euclidean distance
 kernels, the C functions behind ``scipy.spatial.distance.cdist`` and
 ``pdist`` for these metrics, so every distance is bitwise scipy's.  The
@@ -256,79 +261,38 @@ def block_rows(n_cols: int, budget: int) -> int:
 
 
 # numpy's PW_BLOCKSIZE: np.add.reduce sums a stretch this short without splitting it
-_PAIRWISE_LEAF = 128
+PAIRWISE_LEAF = 128
 
 
-def pairwise_tree(n: int, max_len: int) -> list:
-    """numpy's pairwise summation tree over ``n`` contiguous float64
-    values, cut at the first nodes of at most ``max_len`` (at least 128)
-    values, in post order: ``(lo, hi)`` for each such leaf, ``None``
-    where the partial sums of the two nodes before it are added.
-
-    ``np.add.reduce`` splits a node longer than 128 at half its length
-    rounded down to a multiple of 8 and adds the two halves' sums, so a
-    leaf's own sum is ``np.add.reduce`` of its values, and adding the
-    leaves' sums in this order gives numpy's sum of the whole bitwise.
-    """
-    if max_len < _PAIRWISE_LEAF:
-        raise ValueError(f"max_len must be at least {_PAIRWISE_LEAF}, got {max_len}")
-
-    def node(lo: int, hi: int) -> list:
-        if hi - lo <= max_len:
-            return [(lo, hi)]
-        half = (hi - lo) // 2
-        half -= half % 8
-        return node(lo, lo + half) + node(lo + half, hi) + [None]
-
-    return node(0, n)
-
-
-class TreeSum:
-    """Adds partial sums over the leaves of a ``pairwise_tree``, received
-    one leaf at a time in the tree's order, as numpy adds them.
-
-    A partial is a float64 scalar or an array of them (one per row, say),
-    added elementwise.  Only the open nodes' sums are held: at most one
-    per tree level.
-    """
-
-    def __init__(self, tree: list):
-        self._tree = tree
-        self._at = 0
-        self._open: list = []
-
-    def add(self, partial) -> None:
-        """Take the sum over the next leaf."""
-        self._open.append(partial)
-        self._at += 1
-        while self._at < len(self._tree) and self._tree[self._at] is None:
-            right = self._open.pop()
-            self._open[-1] = self._open[-1] + right
-            self._at += 1
-
-    @property
-    def total(self):
-        """The sum over the whole tree, once every leaf has been added."""
-        if self._at != len(self._tree):
-            raise ValueError("not every leaf of the tree has been added")
-        return self._open[0]
+def pairwise_split(n: int) -> int:
+    """Where ``np.add.reduce`` splits a contiguous run of ``n`` > 128
+    float64 values: at half its length rounded down to a multiple of 8.
+    The run's sum is the first part's sum plus the rest's."""
+    half = n // 2
+    return half - half % 8
 
 
 def pairwise_sum(n: int, values, max_len: int) -> np.float64:
     """``np.add.reduce`` of a contiguous float64 array of ``n`` values,
     without ever holding more than ``max_len`` (at least 128) of them.
 
-    ``values(lo, hi)`` returns entries ``lo:hi`` as a contiguous 1-D
-    array; it is asked for each leaf of ``pairwise_tree(n, max_len)`` in
-    turn, and the leaves' sums are added in the tree's order, so the
-    result is bitwise numpy's.  Nodes are added as ``np.float64``, so an
-    overflow warns as numpy's would.
+    A run longer than ``max_len`` is split at ``pairwise_split`` and its
+    parts' sums are added, as numpy adds them; ``values(lo, hi)`` returns
+    entries ``lo:hi`` of a run that is not split, as a contiguous 1-D
+    array, asked for left to right.  The result is bitwise numpy's.
+    Parts are added as ``np.float64``, so an overflow warns as numpy's
+    would.
     """
-    tree = pairwise_tree(n, max_len)
-    total = TreeSum(tree)
-    for leaf in filter(None, tree):
-        total.add(np.add.reduce(values(*leaf)))
-    return total.total
+    if max_len < PAIRWISE_LEAF:
+        raise ValueError(f"max_len must be at least {PAIRWISE_LEAF}, got {max_len}")
+
+    def run(lo: int, hi: int) -> np.float64:
+        if hi - lo <= max_len:
+            return np.add.reduce(values(lo, hi))
+        mid = lo + pairwise_split(hi - lo)
+        return run(lo, mid) + run(mid, hi)
+
+    return run(0, n)
 
 
 _DISTANCE_MODULE = "scipy.spatial._distance_pybind"

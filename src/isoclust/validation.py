@@ -15,30 +15,30 @@ alone, ``mean_pairwise_dist`` computes that ``pdist`` for its mean and
 keeps nothing.  Silhouette otherwise computes only the distances between
 clusters, one tile per pair of clusters (small clusters merged into
 groups), each tile summed along both of its sides.  A tile over 16 MiB,
-and the own tile of a cluster too large for one ``pdist``, is cut at the
-nodes of numpy's pairwise summation tree (``core.pairwise_tree``), and
-each sub-tile, too, is computed once and read both ways; only the
-diagonal sub-tiles of an own tile are computed whole.  Silhouette never
-holds more than one 16 MiB tile per thread, nor the N x N matrix; its
-tiles are independent tasks, run by the clustering's ``run`` (in
-``run_measure``, the ``--threads`` pool's ``map``).
-``mean_pairwise_dist`` of a larger cluster holds at most one 16 MiB node
-of its distances.  Every value is bitwise the one computed from the
-whole distance matrix or condensed array.  ``cdist`` and ``pdist`` are
+and the own pairs of a cluster too large for one ``pdist``, are halved
+where numpy halves a row of that cluster's distances
+(``core.pairwise_split``), until each part fits, and the parts' sums are
+added as numpy adds them; every distance is still computed once.
+Silhouette holds at most one 16 MiB tile per thread, and an N x k table
+of distance sums, never the N x N matrix; its tiles are independent
+tasks, run by the clustering's ``run`` (in ``run_measure``, the
+``--threads`` pool's ``map``).  ``mean_pairwise_dist`` of a larger
+cluster holds at most one 16 MiB run of its distances, and computes
+them again.  Every value is bitwise the one computed from the whole
+distance matrix or condensed array.  ``cdist`` and ``pdist`` are
 ``core``'s: scipy's compiled kernels, which ``core`` loads by themselves.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from math import isqrt
 
 import numpy as np
 
-from .core import Clustering, ClusterView, DataError, NumericError, TreeSum, block_rows, cdist, pairwise_sum, pairwise_tree, pdist
+from .core import PAIRWISE_LEAF, Clustering, ClusterView, DataError, NumericError, block_rows, cdist, pairwise_split, pairwise_sum, pdist
 
-# Byte budget of one silhouette distance tile (a sub-tile of a larger one)
-# and of one cluster's condensed pdist array; also the budget of one node of
+# Byte budget of one silhouette distance tile (a part of a larger one) and
+# of one condensed pdist array; also the budget of one run of
 # mean_pairwise_dist's condensed distances when they do not fit whole.
 _BLOCK_BYTES = 16 * 2**20
 # Clusters smaller than this are merged with their neighbours into groups of
@@ -92,7 +92,7 @@ def mean_pairwise_dist(view: ClusterView) -> float:
     ``_BLOCK_BYTES``, this returns the view's ``pdist_mean``.  Otherwise,
     when they fit, it is the mean of one ``pdist``, which is not kept.
     When they do not fit, they are summed by ``core.pairwise_sum`` one
-    node of at most that many bytes at a time, each node filled from
+    run of at most that many bytes at a time, each run filled from
     ``cdist`` row segments (which equal ``pdist``'s entries bitwise).
     """
     x, n = view.points, view.size
@@ -171,93 +171,82 @@ def _transposed_sums(out, tile, spans):
         _slice_sums(out[c0 : c0 + width], np.ascontiguousarray(tile[:, c0 : c0 + width].T), spans)
 
 
-def _cuts(group, leaf):
-    """A group's row ranges in a pair whose tile does not fit, and the tree
-    they are the leaves of: the whole group and no tree, unless the group
-    is one cluster of more than ``leaf`` rows, which is cut at the first
-    nodes of numpy's pairwise tree over its rows that hold at most that."""
-    lo, hi, spans = group
-    if len(spans) > 1 or hi - lo <= leaf:
-        return [(lo, hi)], None
-    tree = pairwise_tree(hi - lo, leaf)
-    return [(lo + a, lo + b) for a, b in filter(None, tree)], tree
-
-
 def _pair_sums(sums, data, group_a, group_b):
     """Fill the rows of group a with their distance sums to the clusters of
     group b and the rows of group b with theirs to group a's clusters.
-    Group a is group b only for one cluster's own tile.
 
-    A tile that fits in ``_BLOCK_BYTES`` is computed once, whole.  Else
-    each side that is one cluster of more than sqrt(``_BLOCK_BYTES`` / 8)
-    rows is cut at nodes of its pairwise tree (``_cuts``), and each
-    sub-tile is computed once: its rows' sums are partial sums over a
-    leaf of the other side's cluster, added in that cluster's tree order
-    (``core.TreeSum``) as the leaves arrive, which is numpy's order for
-    the whole row.  An own tile computes only the sub-tiles on and above
-    its diagonal.  Each sub-tile is read along both sides, its transpose
-    in small contiguous chunks, and lives only while it is read, so one is
-    held at a time.
+    A tile that fits in ``_BLOCK_BYTES``, or whose sides cannot be cut, is
+    computed once, whole, with the shorter group as its rows: each row is
+    summed as it lies, and the columns are read transposed, in small
+    contiguous chunks.  Otherwise the longer side that is one cluster of
+    more than 128 rows is halved where numpy halves a row of that
+    cluster's distances (``core.pairwise_split``), each half is paired
+    with the other side, and the other side's sums to the two halves are
+    added: bitwise numpy's sum of the whole row.  So every distance is
+    computed once, and one tile is held at a time.
     """
+    if group_a[1] - group_a[0] > group_b[1] - group_b[0]:
+        group_a, group_b = group_b, group_a
     (lo_a, hi_a, spans_a), (lo_b, hi_b, spans_b) = group_a, group_b
-    own = group_a is group_b
-    if 8 * (hi_a - lo_a) * (hi_b - lo_b) <= _BLOCK_BYTES:
-        (cuts_a, tree_a), (cuts_b, tree_b) = ([(lo_a, hi_a)], None), ([(lo_b, hi_b)], None)
-    else:
-        leaf = max(128, isqrt(_BLOCK_BYTES // 8))
-        (cuts_a, tree_a), (cuts_b, tree_b) = _cuts(group_a, leaf), _cuts(group_b, leaf)
-    # a cut side's rows get partial sums over the leaves of the other side's one cluster
-    parts_a = [TreeSum(tree_b) for _ in cuts_a] if tree_b else None
-    parts_b = parts_a if own else [TreeSum(tree_a) for _ in cuts_b] if tree_a else None
-    for i, (a0, a1) in enumerate(cuts_a):
-        for k in range(i if own else 0, len(cuts_b)):
-            b0, b1 = cuts_b[k]
-            tile = _distances(data[a0:a1], data[b0:b1])
-            if parts_a:
-                parts_a[i].add(tile.sum(axis=1))
-            else:
-                _slice_sums(sums[a0:a1], tile, spans_b)
-            if own and k == i:
-                continue  # a diagonal sub-tile holds both sides already
-            if parts_b:
-                part = np.empty((b1 - b0, 1))
-                _transposed_sums(part, tile, [(0, 0, a1 - a0)])
-                parts_b[k].add(part[:, 0])
-            else:
-                _transposed_sums(sums[b0:b1], tile, spans_a)
-        if parts_a:
-            sums[a0:a1, spans_b[0][0]] = parts_a[i].total
-    if parts_b and not own:
-        for (b0, b1), part in zip(cuts_b, parts_b):
-            sums[b0:b1, spans_a[0][0]] = part.total
+    cut = next((g for g in (group_b, group_a) if len(g[2]) == 1 and g[1] - g[0] > PAIRWISE_LEAF), None)
+    if cut is None or 8 * (hi_a - lo_a) * (hi_b - lo_b) <= _BLOCK_BYTES:
+        tile = _distances(data[lo_a:hi_a], data[lo_b:hi_b])
+        _slice_sums(sums[lo_a:hi_a], tile, spans_b)
+        _transposed_sums(sums[lo_b:hi_b], tile, spans_a)
+        return
+    lo, hi, ((j, _, _),) = cut
+    other = group_a if cut is group_b else group_b
+    mid = lo + pairwise_split(hi - lo)
+    _pair_sums(sums, data, (lo, mid, [(j, 0, mid - lo)]), other)
+    left = sums[other[0] : other[1], j].copy()
+    _pair_sums(sums, data, (mid, hi, [(j, 0, hi - mid)]), other)
+    sums[other[0] : other[1], j] += left
+
+
+def _own_sums(sums, data, j, lo, hi):
+    """Fill rows ``lo:hi``, all of cluster j or a part numpy splits it at,
+    with their distance sums to those same rows; return the mean of their
+    one ``pdist``, or None when they took more than one.
+
+    Rows whose pairs fit in ``_BLOCK_BYTES``, or at most 128 of them, get
+    one ``pdist``, whose rows are rebuilt for the sums (``_member_sums``).
+    More are halved at ``core.pairwise_split``: each half's own sums, plus
+    the sums of the tile between the halves (``_pair_sums``), are numpy's
+    sums of the whole rows.
+    """
+    n = hi - lo
+    if n <= PAIRWISE_LEAF or n * (n - 1) // 2 <= _BLOCK_BYTES // 8:
+        dists = pdist(data[lo:hi])
+        mean = float(dists.mean())
+        if not np.isfinite(mean) and not np.isfinite(dists.max()):
+            raise NumericError(_OVERFLOW)
+        sums[lo:hi, j] = _member_sums(dists, n)
+        return mean
+    mid = lo + pairwise_split(n)
+    _own_sums(sums, data, j, lo, mid)
+    _own_sums(sums, data, j, mid, hi)
+    own = sums[lo:hi, j].copy()
+    _pair_sums(sums, data, (lo, mid, [(j, 0, mid - lo)]), (mid, hi, [(j, 0, hi - mid)]))
+    sums[lo:hi, j] += own
+    return None
 
 
 def _group_own(sums, data, clustering, group):
     """Fill the rows of a group with their distance sums to its own
     clusters.
 
-    A member whose |C|(|C|-1)/2 distances fit in ``_BLOCK_BYTES`` gets one
-    ``pdist``: its rebuilt rows give the sums, and its mean goes to the
-    member's ``pdist_mean`` for ``mean_pairwise_dist``.  A larger member's
-    sums come from its own tile (``_pair_sums``).  The blocks between
-    members are computed once, each member against the members after it,
-    and read along both sides (``_pair_sums`` again).
+    Each member's own pairs come from ``_own_sums``; a member that took
+    one ``pdist`` leaves its mean in its view's ``pdist_mean`` for
+    ``mean_pairwise_dist``.  The blocks between members are computed
+    once, each member against the members after it, and read along both
+    sides (``_pair_sums``).
     """
     lo, hi, spans = group
     for j, c0, c1 in spans:
-        n = c1 - c0
-        if n == 1:
+        if c1 - c0 == 1:
             sums[lo + c0, j] = 0.0
-        elif n * (n - 1) // 2 <= _BLOCK_BYTES // 8:
-            dists = pdist(data[lo + c0 : lo + c1])
-            mean = float(dists.mean())
-            if not np.isfinite(mean) and not np.isfinite(dists.max()):
-                raise NumericError(_OVERFLOW)
-            clustering[j].pdist_mean = mean
-            sums[lo + c0 : lo + c1, j] = _member_sums(dists, n)
         else:
-            member = (lo + c0, lo + c1, [(j, 0, n)])
-            _pair_sums(sums, data, member, member)
+            clustering[j].pdist_mean = _own_sums(sums, data, j, lo + c0, lo + c1)
     for t, (j, c0, c1) in enumerate(spans[:-1]):
         rest = (lo + c1, hi, [(i, a - c1, b - c1) for i, a, b in spans[t + 1 :]])
         _pair_sums(sums, data, (lo + c0, lo + c1, [(j, 0, c1 - c0)]), rest)
@@ -282,17 +271,16 @@ def silhouette(clustering: Clustering) -> float:
     * one per tile group (clusters of at least 128 points, and runs of
       smaller ones merged to about 128): each member cluster's own pairs,
       from its one ``pdist`` when its condensed distances fit in 16 MiB
-      (whose mean it leaves in the view's ``pdist_mean``), else from its own
-      tile, and the blocks between the group's clusters;
+      (whose mean it leaves in the view's ``pdist_mean``), else from
+      halves of it (``_own_sums``), and the blocks between the group's
+      clusters;
     * one tile per unordered pair of groups.
 
-    Every tile is computed once and summed along both of its sides; a
-    tile over 16 MiB is cut at the nodes of numpy's pairwise tree, so that
-    each sub-tile, too, is computed once (``_pair_sums``), except that an
-    own tile's diagonal sub-tiles are computed whole.  Every sum runs
-    over the same values, in the same order, as the full matrix's row
-    slices (a distance is bitwise symmetric), so the value is exactly the
-    full-matrix one.
+    Every distance is computed once, and every tile summed along both of
+    its sides; a tile over 16 MiB is halved where numpy halves the rows
+    it sums (``_pair_sums``).  Every sum runs over the same values, in
+    the same order, as the full matrix's row slices (a distance is
+    bitwise symmetric), so the value is exactly the full-matrix one.
 
     The tasks, largest first, go to ``clustering.run(fn, tasks)``:
     builtin ``map`` runs them one after the other, a thread pool's

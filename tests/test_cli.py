@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -134,6 +135,19 @@ def test_read_csv_errors(tmp_path):
             read_cloud_csv(repeated, label_column=label_column)
     with pytest.raises(DataError, match="no feature columns"):
         read_cloud_csv(write_text(tmp_path / "only_labels.csv", "label\na\nb\n"), label_column="label")
+
+
+def test_a_repeated_name_in_a_wide_header_is_named_at_once(tmp_path, capsys):
+    # 30,000 distinct names and one repeat: counting each name by a scan of
+    # the header took seconds
+    names = [f"c{i}" for i in range(30_000)] + ["c7"]
+    path = write_text(tmp_path / "wide.csv", ",".join(names) + "\n" + ",".join(["1"] * len(names)) + "\n")
+    start = time.perf_counter()
+    code = main(["project", "--input", path, "--output", str(tmp_path / "p.csv")])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert capsys.readouterr().err == f"isoclust: data error: {path}: the header names ['c7'] more than once\n"
+    assert elapsed < 1.0
 
 
 def test_read_csv_skips_blank_lines(tmp_path):

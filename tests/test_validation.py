@@ -307,12 +307,12 @@ def without_metadata(report):
     group_rows=st.sampled_from([1, 16, 40]),
 )
 def test_shared_and_tree_cut_silhouette_is_bit_identical(sizes, seed, dims, scale, budget, group_rows):
-    # clusters of up to three times the 128-row leaf of a cut tile, so that
-    # pairwise trees run several levels deep, mixed with runs of small
+    # clusters of up to three times the 128 rows numpy sums without halving,
+    # so that halving runs several levels deep, mixed with runs of small
     # clusters that merge into multi-cluster groups.  Under these budgets a
     # cluster's own pairs take one pdist (up to 16 or 181 or 314 points) or
-    # its own tile cut at tree nodes, and a pair of clusters over 128 points
-    # cuts its tile on one or both sides
+    # are halved, and a pair of clusters over 128 points halves its tile on
+    # one or both sides
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     points = rng.standard_t(3, (len(labels), dims)) * scale
@@ -334,11 +334,18 @@ def test_shared_and_tree_cut_silhouette_is_bit_identical(sizes, seed, dims, scal
         assert without_metadata(run_measure(cloud, assignment, metrics=metrics, threads=3)) == without_metadata(serial)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_measure_computes_each_distinct_pair_once(monkeypatch, threads):
-    # clusters that fit one pdist each, two groups of small clusters, and
-    # under a 128 KiB budget tiles between the large clusters that do not fit
-    sizes = [170, 150, 5, 7, 3, 9, 160, 1, 4, 2]
+FITTING_SIZES = [170, 150, 5, 7, 3, 9, 160, 1, 4, 2]
+HALVED_SIZES = [400, 170, 5, 7, 3, 160, 1, 4]
+
+
+@pytest.mark.parametrize(("threads", "sizes", "halved"),
+                         [(1, FITTING_SIZES, 0), (3, FITTING_SIZES, 0), (1, HALVED_SIZES, 1), (3, HALVED_SIZES, 1)],
+                         ids=["1", "3", "halved_cluster-1", "halved_cluster-3"])
+def test_measure_computes_each_distinct_pair_once(monkeypatch, threads, sizes, halved):
+    # under a 128 KiB budget: clusters that fit one pdist each, or one (400
+    # points, 79,800 pairs) too large for it, whose own pairs are halved;
+    # groups of small clusters; and tiles between the large clusters that
+    # do not fit
     labels = np.random.default_rng(6).permutation(np.repeat(np.arange(len(sizes)), sizes))
     points = np.random.default_rng(7).normal(size=(len(labels), 3))
     index = {row.tobytes(): i for i, row in enumerate(points)}
@@ -367,11 +374,15 @@ def test_measure_computes_each_distinct_pair_once(monkeypatch, threads):
     monkeypatch.setattr(validation, "cdist", counting_cdist)
     monkeypatch.setattr(validation, "pdist", counting_pdist)
     monkeypatch.setattr(validation, "_BLOCK_BYTES", 8 * 128**2)
-    assert all(s * (s - 1) // 2 <= 128**2 for s in sizes)
+    assert sum(s * (s - 1) // 2 > 128**2 for s in sizes) == halved
     run_measure(PointCloud(points), ClusterAssignment(labels), metrics=["silhouette", "mean_pairwise_dist"],
                 threads=threads)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1).ravel()
-    assert (counts[upper] == 1).all() and not counts[~upper].any()
+    # silhouette computes each distinct pair once; mean_pairwise_dist's
+    # streamed mean computes a halved cluster's own pairs again
+    expected = np.triu(np.ones((n, n), dtype=np.int64), 1)
+    big = np.isin(labels, [j for j, s in enumerate(sizes) if s * (s - 1) // 2 > 128**2])
+    expected += np.triu(np.outer(big, big), 1)
+    assert (counts.reshape(n, n) == expected).all()
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -409,6 +420,49 @@ def test_silhouette_overflow_in_a_tile_raises(case, budget, group_rows):
         cloud, assignment = PointCloud(np.asarray(case[0], dtype=float)), ClusterAssignment(case[1])
         with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
             run_measure(cloud, assignment, metrics=["silhouette"], threads=3)
+
+
+@pytest.mark.parametrize("where", ["leaf", "between_halves"])
+def test_silhouette_overflow_in_a_halved_cluster_raises(monkeypatch, where):
+    # under a 128 KiB budget a 300-point cluster's 44,850 pairs are halved
+    # into one pdist each for its first 144 and last 156 points, and a tile
+    # between them; two of its points, 1.8e154 apart, are both in the first
+    # pdist or one in each half
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(310, 2))
+    far = [0, 1] if where == "leaf" else [0, 299]
+    points[far] = [[9e153, 0], [-9e153, 0]]
+    labels = np.repeat([0, 1], [300, 10])
+    seen = []
+
+    def recording_pdist(x):
+        dists = pdist(x)
+        seen.append(np.isfinite(dists).all())
+        return dists
+
+    monkeypatch.setattr(validation, "_BLOCK_BYTES", 8 * 128**2)
+    monkeypatch.setattr(validation, "pdist", recording_pdist)
+    assert validation.pairwise_split(300) == 144 and 144 * 143 // 2 <= 128**2 < 300 * 299 // 2
+    with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
+        silhouette(make_views(points, labels))
+    assert (False in seen) == (where == "leaf")
+    with pytest.raises(NumericError, match="silhouette pairwise distance overflows"):
+        run_measure(PointCloud(points), ClusterAssignment(labels), metrics=["silhouette"], threads=3)
+
+
+def test_silhouette_memory_of_a_halved_cluster_is_one_tile():
+    # a 6,000-point cluster's 18 million pairs (137 MiB) and its 6,000 x 500
+    # tile to the other cluster are halved until each part fits the budget
+    rng = np.random.default_rng(11)
+    labels = rng.permutation(np.repeat([0, 1], [6000, 500]))
+    views = make_views(rng.normal(size=(6500, 3)), labels)
+    tracemalloc.start()
+    try:
+        silhouette(views)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < validation._BLOCK_BYTES + 3 * 2**20
 
 
 def test_silhouette_memory_is_one_tile_when_every_tile_fits():
