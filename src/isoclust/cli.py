@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ClusterAssignment, DataError, NumericError, PointCloud
+from .core import EIGEN_KERNEL, ClusterAssignment, DataError, NumericError, PointCloud
 from .kmeans import kmeans
 from .measure import METRICS, check_options, run_measure
 from .randmat import run_mp_rows
@@ -201,7 +201,8 @@ def cmd_measure(args) -> int:
         "n_points": cloud.n_points,
         "n_dims": cloud.n_dims,
     }
-    runs, metadata = {}, {}
+    # the library and symbol every eigendecomposition ran in
+    runs, metadata = {}, {"eigen_kernel": EIGEN_KERNEL}
     for k in ks:
         section, run_metadata = {}, {}
         if k is not None:

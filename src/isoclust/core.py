@@ -23,10 +23,18 @@ about 0.4 s and 29 MB of resident memory (kd-trees, qhull,
 ``scipy.sparse``, ``scipy.linalg``), and the package imports no scipy
 module at all.  Where the extension or one of its functions is missing,
 they are ``scipy.spatial.distance``'s own, at that import's cost.
+
+:func:`eigh` is ``np.linalg.eigh`` and ``eigvalsh``, bitwise, computed
+in the caller's matrix: the LAPACK routine numpy calls, loaded from
+numpy's own bundled library, so an eigenbasis holds no copy of its
+matrix in or of its eigenvectors out.  Where that library is missing,
+it calls ``numpy.linalg``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import os
@@ -336,6 +344,81 @@ def cdist(x, y, metric: str = "euclidean", *, out=None) -> np.ndarray:
 def pdist(x) -> np.ndarray:
     """``scipy.spatial.distance.pdist(x)``, Euclidean, bitwise."""
     return _PDIST(x)
+
+
+_EIGEN_SYMBOL = "scipy_dsyevd_64_"
+
+
+def _eigen_kernel():
+    """The LAPACK ``dsyevd`` behind ``np.linalg.eigh`` and ``eigvalsh``,
+    and the name a report gives it.
+
+    A numpy wheel bundles its OpenBLAS as ``numpy.libs/libscipy_openblas64_*``,
+    already loaded by numpy's own import, and ``numpy.linalg`` calls this
+    very symbol in it, with 64-bit integers.  Where the file or the symbol
+    is missing, there is no kernel and :func:`eigh` calls ``numpy.linalg``.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            kernel = getattr(ctypes.CDLL(path), _EIGEN_SYMBOL)
+        except (OSError, AttributeError):
+            continue
+        char, integer = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64)
+        kernel.argtypes = [char, char, integer, ctypes.c_void_p, integer, ctypes.c_void_p,
+                           ctypes.c_void_p, integer, ctypes.c_void_p, integer, integer]
+        kernel.restype = None
+        return kernel, f"{os.path.basename(path)}:{_EIGEN_SYMBOL}"
+    return None, "numpy.linalg"
+
+
+_DSYEVD, EIGEN_KERNEL = _eigen_kernel()
+
+
+def eigh(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """``np.linalg.eigh(a)``, or ``eigvalsh(a)`` without ``vectors``,
+    bitwise, computed in ``a`` itself.
+
+    ``a`` is an exactly symmetric, C-contiguous, writable float64 matrix,
+    such as a fresh ``x.T @ x`` (numpy computes that product on one
+    triangle and mirrors it).  Returns the ascending eigenvalues and, with
+    ``vectors``, one unit eigenvector per row in the same order (``a``
+    itself, overwritten), else None, ``a`` destroyed.  The call is
+    numpy's: LAPACK ``dsyevd`` with JOBZ ``'V'`` or ``'N'``, UPLO
+    ``'L'`` and the workspace LAPACK's own size query asks for, only
+    without numpy's copy of ``a`` in and of the eigenvectors out, so an
+    eigenbasis holds 3 n² float64 in flight where ``np.linalg.eigh``
+    holds 5 n².  A decomposition that does not converge raises
+    ``NumericError``.
+    """
+    n = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (n, n) or not (a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"eigh needs a square, C-contiguous, writable float64 matrix, got {a.dtype} {a.shape}")
+    if _DSYEVD is None:
+        try:
+            if vectors:
+                w, v = np.linalg.eigh(a)
+                return w, v.T
+            return np.linalg.eigvalsh(a), None
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition of a {n} x {n} matrix failed: {exc}") from None
+    # a is its own transpose, so LAPACK's column-major view of it is a
+    w = np.empty(n)
+    jobz = b"V" if vectors else b"N"
+    size, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(n, 1)), ctypes.c_int64(0)
+
+    def dsyevd(work, lwork, iwork, liwork):
+        _DSYEVD(jobz, b"L", size, a.ctypes.data, lda, w.ctypes.data,
+                work.ctypes.data, ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork), info)
+        if info.value:
+            raise NumericError(f"eigendecomposition of a {n} x {n} matrix failed: LAPACK dsyevd info {info.value}")
+
+    # LAPACK's own workspace query first, as numpy makes it: dsytrd's blocking follows LWORK
+    lwork, liwork = np.empty(1), np.empty(1, dtype=np.int64)
+    dsyevd(lwork, -1, liwork, -1)
+    lwork, liwork = int(lwork[0]), int(liwork[0])
+    dsyevd(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return w, a if vectors else None
 
 
 def timed(fn, *args):

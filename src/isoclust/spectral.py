@@ -17,13 +17,19 @@ scatter matrix when n <= |C|, otherwise the |C| x |C| Gram matrix,
 which shares the nonzero spectrum.  Eigenvectors, read only by the
 directional measures, come from one scatter decomposition: with the
 eigenvalues on the scatter side, on first access on the Gram side.
+
+Both decompositions are :func:`core.eigh`, bitwise ``np.linalg.eigh``
+and ``eigvalsh``: numpy's own LAPACK ``dsyevd`` call, made on the fresh
+product matrix itself.  An eigenbasis holds 3 n^2 float64 in flight,
+the scatter and LAPACK's 2 n^2 workspace, and a decomposition that
+does not converge raises ``NumericError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ClusterView, DataError
+from .core import ClusterView, DataError, eigh
 
 
 class SpectralSummary:
@@ -79,9 +85,16 @@ class SpectralSummary:
 
 
 def _scatter_eigh(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues of ``centered.T @ centered``, one eigenvector per row."""
-    vals, vecs = np.linalg.eigh(centered.T @ centered)
-    return vals[::-1], vecs[:, ::-1].T
+    """Descending eigenvalues of ``centered.T @ centered``, one eigenvector per row.
+
+    The rows are the transpose of a C-contiguous array whose columns are
+    the eigenvectors, the layout in which the probe product reads
+    ``np.linalg.eigh``'s eigenvectors: a BLAS product rounds by the layout
+    of its operand, and ``i_vec`` keeps its bits.  The copy is made after
+    LAPACK's workspace is freed, so the peak stays :func:`core.eigh`'s.
+    """
+    vals, rows = eigh(centered.T @ centered)
+    return vals[::-1], np.ascontiguousarray(rows[::-1].T).T
 
 
 def spectral_summary(view: ClusterView) -> SpectralSummary:
@@ -94,8 +107,7 @@ def spectral_summary(view: ClusterView) -> SpectralSummary:
         vals, vecs = _scatter_eigh(centered)
         return SpectralSummary(vals, False, _vectors=vecs)
     # High-dimensional case: the Gram matrix carries the nonzero spectrum.
-    gram = centered @ centered.T
-    vals = np.linalg.eigvalsh(gram)
+    vals, _ = eigh(centered @ centered.T, vectors=False)
     eig = np.zeros(n)
     eig[: view.size] = vals[::-1]
     return SpectralSummary(eig, False, _centered=centered)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isoclust import DataError, cli, kmeans, run_sweep
+from isoclust import DataError, cli, core, kmeans, run_sweep
 from isoclust.cli import main, read_cloud_csv, run_measure, write_cloud_csv
 from isoclust.core import PointCloud
 
@@ -709,6 +709,61 @@ def test_measure_dispersion_overflow_exits_4(tmp_path, capsys, text, options, me
     assert main(["measure", "--input", csv_path, *options, "--output", str(out)]) == 4
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def lapack_without_convergence(real):
+    """The LAPACK kernel, except that after its workspace query it reports
+    a failed convergence, as dsyevd's info > 0 does."""
+    def kernel(*args):
+        real(*args)
+        if args[7].value != -1:  # LWORK: -1 is the workspace query
+            args[-1].value = 1
+    return kernel
+
+
+def linalg_without_convergence(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# 8 points in 10 dims, in two clusters: the eigenvalues come from each
+# cluster's 4 x 4 Gram matrix (LAPACK's JOBZ 'N'), not its scatter matrix
+WIDE_CSV = ",".join(f"x{j}" for j in range(10)) + ",label\n" + "".join(
+    ",".join(map(repr, row)) + f",{i % 2}\n" for i, row in enumerate(np.random.default_rng(0).normal(size=(8, 10)).tolist())
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kernel", ["in_place", "numpy_linalg"])
+@pytest.mark.parametrize("side,size", [("scatter", 3), ("gram", 4)])
+def test_measure_eigen_non_convergence_exits_4(monkeypatch, capsys, blobs_csv, tmp_path, kernel, threads, side, size):
+    if kernel == "in_place":
+        if core._DSYEVD is None:
+            pytest.skip("numpy's LAPACK library was not found")
+        monkeypatch.setattr(core, "_DSYEVD", lapack_without_convergence(core._DSYEVD))
+    else:
+        monkeypatch.setattr(core, "_DSYEVD", None)
+        monkeypatch.setattr(np.linalg, "eigh", linalg_without_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", linalg_without_convergence)
+    csv_path = blobs_csv if side == "scatter" else write_text(tmp_path / "wide.csv", WIDE_CSV)
+    out = tmp_path / "report.json"
+    argv = ["measure", "--input", csv_path, "--label-column", "label", "--threads", threads, "--output", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"isoclust: numeric error: eigendecomposition of a {size} x {size} matrix failed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_measure_names_its_eigen_kernel(blobs_csv, blobs_features_csv, tmp_path):
+    out = tmp_path / "report.json"
+    for inputs in ([blobs_csv, "--label-column", "label"], [blobs_features_csv, "--kmeans-multi", "2,3"]):
+        assert main(["measure", "--input", *inputs, "--output", str(out)]) == 0
+        assert load_json(out)["metadata"]["eigen_kernel"] == core.EIGEN_KERNEL
+    # numpy's bundled LAPACK where a numpy wheel ships one
+    if core._DSYEVD is None:
+        assert core.EIGEN_KERNEL == "numpy.linalg"
+    else:
+        assert core.EIGEN_KERNEL.startswith("libscipy_openblas64_") and core.EIGEN_KERNEL.endswith(":scipy_dsyevd_64_")
 
 
 def test_version_exits_zero(capsys):

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from isoclust import (
     ClusterView,
@@ -9,6 +16,8 @@ from isoclust import (
     spectral_summary,
     var_lambda,
 )
+from isoclust import core
+from isoclust.zmeasure import DirectionSet, isotropy_given_b, isotropy_vec
 
 
 def view_of(points) -> ClusterView:
@@ -179,3 +188,84 @@ def test_spectrum_invariant_to_rigid_motion_and_scale():
         assert fractional_anisotropy(other) == pytest.approx(fractional_anisotropy(base), abs=1e-8)
         assert var_lambda(other) == pytest.approx(var_lambda(base), abs=1e-8)
 
+
+@st.composite
+def eigen_clusters(draw):
+    """A non-degenerate cluster on either side of n = |C|: Gaussian or t3
+    draws, of full rank or not, with members duplicated or not, rescaled
+    by a power of ten."""
+    size, dims = draw(st.integers(2, 24)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_t(3, size=(size, dims)) if draw(st.booleans()) else rng.normal(size=(size, dims))
+    rank = draw(st.integers(1, dims))
+    if rank < dims:
+        pts = pts[:, :rank] @ rng.normal(size=(rank, dims))
+    copies = draw(st.integers(0, size))
+    pts = np.vstack([pts, pts[:copies]]) * 10.0 ** draw(st.integers(-100, 100))
+    view = view_of(pts)
+    assume(not view.degenerate)
+    return view
+
+
+def numpy_oracle(view):
+    """The summary's eigenvalues (clipped) and eigenvectors, straight from
+    ``np.linalg.eigh`` and, on the Gram side, ``eigvalsh``."""
+    centered = view.points - view.centroid
+    vals, vecs = np.linalg.eigh(centered.T @ centered)
+    if view.n_dims > view.size:
+        vals = np.zeros(view.n_dims)
+        vals[view.n_dims - view.size:] = np.linalg.eigvalsh(centered @ centered.T)
+    return np.clip(vals[::-1], 0.0, None), vecs[:, ::-1].T
+
+
+@pytest.mark.parametrize("kernel", ["in_place", "numpy_linalg"])
+@given(view=eigen_clusters())
+def test_eigenbasis_is_numpys_bitwise(kernel, view):
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel == "numpy_linalg":
+            mp.setattr(core, "_DSYEVD", None)
+        s = spectral_summary(view)
+        vectors = s.vectors
+        i_vec = isotropy_vec(view, s)
+    values, oracle_vectors = numpy_oracle(view)
+    np.testing.assert_array_equal(s.eigenvalues, values)
+    np.testing.assert_array_equal(vectors, oracle_vectors)
+    # the probe product rounds by its operand's layout, not only its values
+    assert i_vec == isotropy_given_b(view, DirectionSet(oracle_vectors))
+
+
+def test_eigh_rejects_what_lapack_cannot_read_in_place():
+    for bad in (np.eye(3)[:, :2].copy(), np.asfortranarray(np.ones((3, 3)) + np.eye(3)[::-1]),
+                np.eye(3, dtype=np.float32), np.eye(4)[::2, ::2]):
+        with pytest.raises(ValueError, match="square, C-contiguous, writable float64"):
+            core.eigh(bad)
+
+
+EIGENBASIS_GROWTH = """
+import sys
+import numpy as np
+from isoclust import ClusterView, PointCloud, spectral_summary
+
+def status(key):
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
+
+n = int(sys.argv[1])
+spectral_summary(ClusterView(PointCloud(np.random.default_rng(1).normal(size=(5, 30))))).vectors
+summary = spectral_summary(ClusterView(PointCloud(np.random.default_rng(0).normal(size=(20, n)))))
+before = status("VmRSS:")
+summary.vectors
+print(status("VmHWM:") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the Linux peak resident set")
+def test_an_eigenbasis_holds_three_n_squared_floats_in_flight():
+    # the scatter, LAPACK's 2 n^2 workspace and no copy of either:
+    # np.linalg.eigh adds its own copy in and its eigenvectors out, 5 n^2
+    n = 1500
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", EIGENBASIS_GROWTH, str(n)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4 * n * n * 8
