@@ -289,18 +289,19 @@ def pairwise_sum(n: int, values, max_len: int) -> np.float64:
     entries ``lo:hi`` of a run that is not split, as a contiguous 1-D
     array, asked for left to right.  The result is bitwise numpy's.
     Parts are added as ``np.float64``, so an overflow warns as numpy's
-    would.
+    would.  Nothing refers to ``values`` once the call returns, so the
+    buffer behind its runs is freed then, not at a later garbage collection.
     """
     if max_len < PAIRWISE_LEAF:
         raise ValueError(f"max_len must be at least {PAIRWISE_LEAF}, got {max_len}")
+    return _pairwise_run(values, 0, n, max_len)
 
-    def run(lo: int, hi: int) -> np.float64:
-        if hi - lo <= max_len:
-            return np.add.reduce(values(lo, hi))
-        mid = lo + pairwise_split(hi - lo)
-        return run(lo, mid) + run(mid, hi)
 
-    return run(0, n)
+def _pairwise_run(values, lo: int, hi: int, max_len: int) -> np.float64:
+    if hi - lo <= max_len:
+        return np.add.reduce(values(lo, hi))
+    mid = lo + pairwise_split(hi - lo)
+    return _pairwise_run(values, lo, mid, max_len) + _pairwise_run(values, mid, hi, max_len)
 
 
 _DISTANCE_MODULE = "scipy.spatial._distance_pybind"

@@ -23,22 +23,24 @@ def check_cluster_shape(n_dims: int, count: int) -> None:
 def gaussian_cluster(
     n_dims: int, count: int, mean: float = 0.0, std: float = 1.0, seed: int = 0
 ) -> PointCloud:
-    """Isotropic Gaussian cluster: count points, per-axis deviation std."""
+    """Isotropic Gaussian cluster: count points, a finite mean and a finite per-axis deviation std > 0."""
     check_cluster_shape(n_dims, count)
-    if std <= 0:
-        raise DataError(f"std must be positive, got {std}")
+    if not np.isfinite(mean):
+        raise DataError(f"mean must be finite, got {mean}")
+    if not 0 < std < np.inf:
+        raise DataError(f"std must be finite and > 0, got {std}")
     rng = np.random.default_rng(seed)
     return PointCloud(rng.normal(mean, std, size=(count, n_dims)))
 
 
 def anisotropic_gaussian(n_dims: int, count: int, stds, seed: int = 0) -> PointCloud:
-    """Axis-aligned Gaussian cluster with one deviation per axis."""
+    """Axis-aligned Gaussian cluster with one finite deviation > 0 per axis."""
     check_cluster_shape(n_dims, count)
     stds = np.asarray(stds, dtype=np.float64)
     if stds.shape != (n_dims,):
         raise DataError(f"need one std per axis: got shape {stds.shape} for {n_dims} dims")
-    if np.any(stds <= 0):
-        raise DataError("all stds must be positive")
+    if not np.all((0 < stds) & (stds < np.inf)):
+        raise DataError(f"stds must be finite and > 0, got {stds.tolist()}")
     rng = np.random.default_rng(seed)
     return PointCloud(rng.standard_normal((count, n_dims)) * stds)
 
@@ -68,13 +70,13 @@ def shape_cluster(kind: str, count: int, noise: float = 0.0, seed: int = 0) -> P
     s_curve samples (sin t, sign(t)(cos t - 1)) uniformly in
     t over [-3 pi / 2, 3 pi / 2]; l_shape samples uniformly over two
     axis-aligned unit arms meeting at the origin.  Gaussian noise of
-    the given deviation is added when noise > 0.
+    the given deviation (finite, >= 0) is added when noise > 0.
     """
     if kind not in SHAPE_KINDS:
         raise DataError(f"unknown shape {kind!r}, expected one of {SHAPE_KINDS}")
     check_cluster_shape(2, count)
-    if noise < 0:
-        raise DataError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise DataError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     pts = _s_curve(count, rng) if kind == "s_curve" else _l_shape(count, rng)
     if noise > 0:

@@ -40,7 +40,8 @@ set B holds one |C| x |B| float64 product, 8 bytes per entry, plus one
 work block of about 1 MiB: the exponentials and the mask of the maxima
 are formed a block of rows at a time, and the column sums carried from
 block to block add the rows in the order one sum over the whole product
-would.
+would.  A 1-D product (``z_prime``'s) is one column, and one column is
+one block: numpy sums it pairwise, which carried sums would not repeat.
 
 ``run_sweep`` compares the two choices, on value and cost, across
 dimensionalities of fresh Gaussian clusters.
@@ -156,40 +157,33 @@ def _log_sum_exp(e: np.ndarray) -> np.ndarray:
     adds at most 1 to s, so s / k lies in [0, len(e) - 1] and both
     logarithms take a finite argument of at least 1.
 
-    ``e`` is C-contiguous, as a product is.  With at least 2 columns it
-    is streamed through one work block of ``_WORK_BYTES`` of rows plus a
-    row 0 that carries the column sums: numpy's sum along axis 0 of such
-    an array adds whole rows in order, so summing the carried row with
-    the next block's exponentials continues that one sum.  A single
-    column or a 1-D ``e`` is summed pairwise along its length, which
-    blocks would not repeat, so it is handled in one pass over a work
-    array of its own size.
+    ``e`` is C-contiguous, as a product is, and a 1-D ``e`` is one
+    column.  It is streamed through one work block of ``_WORK_BYTES`` of
+    rows plus a row 0 that carries the column sums: numpy's sum along
+    axis 0 of an array of at least 2 columns adds whole rows in order, so
+    summing the carried row with the next block's exponentials continues
+    that one sum.  A single column is summed pairwise along its length
+    instead, which blocks would not repeat, so it is one block.  The first
+    block sums its own rows alone, as one sum over ``e`` starts there.
     """
-    amax = e.max(0)
-    if e.ndim == 1 or e.shape[1] == 1:
-        ties = e == amax
-        work = e - amax
-        work[ties] = -np.inf
-        np.exp(work, out=work)
-        cnt = ties.sum(0, dtype=np.float64)
-        s = work.sum(0)
-    else:
-        step = min(block_rows(e.shape[1], _WORK_BYTES), len(e))
-        work = np.zeros((step + 1, e.shape[1]))
-        ties = np.empty((step, e.shape[1]), dtype=bool)
-        cnt, s = np.zeros(e.shape[1]), np.empty(e.shape[1])
-        for r0 in range(0, len(e), step):
-            block = e[r0 : r0 + step]
-            rows, tied = work[1 : len(block) + 1], ties[: len(block)]
-            np.equal(block, amax, out=tied)
-            cnt += tied.sum(0)
-            np.subtract(block, amax, out=rows)
-            rows[tied] = -np.inf
-            np.exp(rows, out=rows)
-            work[: len(block) + 1].sum(0, out=s)
-            work[0] = s
+    x = e.reshape(len(e), -1)
+    amax = x.max(0)
+    step = len(x) if x.shape[1] == 1 else min(block_rows(x.shape[1], _WORK_BYTES), len(x))
+    work = np.empty((step + 1, x.shape[1]))
+    ties = np.empty((step, x.shape[1]), dtype=bool)
+    cnt, s = np.zeros(x.shape[1]), np.empty(x.shape[1])
+    for r0 in range(0, len(x), step):
+        block = x[r0 : r0 + step]
+        rows, tied = work[1 : len(block) + 1], ties[: len(block)]
+        np.equal(block, amax, out=tied)
+        cnt += tied.sum(0)
+        np.subtract(block, amax, out=rows)
+        rows[tied] = -np.inf
+        np.exp(rows, out=rows)
+        (work[: len(block) + 1] if r0 else rows).sum(0, out=s)
+        work[0] = s
     s = np.where(s == 0, s, s / cnt)
-    return np.log1p(s) + np.log(cnt) + amax
+    return (np.log1p(s) + np.log(cnt) + amax).reshape(e.shape[1:])
 
 
 def _log_z_both(scaled: np.ndarray, vectors: np.ndarray) -> np.ndarray:

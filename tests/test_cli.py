@@ -980,6 +980,24 @@ def test_generate_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("s_curve", "--noise", "nan"),
+        ("l_shape", "--noise", "inf"),
+        ("gaussian", "--std", "nan"),
+        ("gaussian", "--std", "inf"),
+        ("gaussian", "--mean", "nan"),
+        ("anisotropic", "--stds", "1,nan"),
+    ],
+)
+def test_generate_names_a_flag_that_is_not_finite(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "x.csv"
+    assert main(["generate", "--kind", kind, flag, value, "--points", "10", "--output", str(out)]) == 3
+    assert f"isoclust: data error: {flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # run measure in a fresh interpreter and print its exit status and its own
 # peak resident set (VmHWM, kB); a child's getrusage can inherit the parent's peak
 _MEASURE_HWM = """

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import pickle
@@ -23,6 +24,8 @@ from isoclust import (
     PointCloud,
     center_and_scale,
     core,
+    kmeans,
+    mean_pairwise_dist,
     size_weighted_mean,
     split_clusters,
 )
@@ -283,6 +286,28 @@ def test_pairwise_sum_replays_numpy_bitwise(n, max_len, seed, scale):
 def test_pairwise_sum_leaves_are_at_least_numpys_shortest_split():
     with pytest.raises(ValueError, match="at least 128"):
         pairwise_sum(1000, lambda lo, hi: np.zeros(hi - lo), 127)
+
+
+def test_streamed_sums_leave_no_reference_cycle():
+    # a cycle through values would keep its run buffer (16 MiB for
+    # mean_pairwise_dist) alive after the call, until a cyclic collection
+    rng = np.random.default_rng(0)
+    view = ClusterView(PointCloud(rng.normal(size=(3_000, 8))))  # 4.5 million pairs: several runs
+    x = rng.normal(size=1_000)
+    cloud = PointCloud(rng.normal(size=(20_000, 8)))
+    calls = [
+        lambda: mean_pairwise_dist(view),
+        lambda: pairwise_sum(1_000, lambda lo, hi: x[lo:hi], 128),
+        lambda: kmeans(cloud, 4, seed=0),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- scipy's distance kernels ---------------------------------------------------

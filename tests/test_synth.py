@@ -68,6 +68,25 @@ def test_shape_cluster_validation():
         shape_cluster("s_curve", 10, noise=-0.1)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: gaussian_cluster(3, 10, mean=np.nan), "mean"),
+        (lambda: gaussian_cluster(3, 10, mean=-np.inf), "mean"),
+        (lambda: gaussian_cluster(3, 10, std=np.nan), "std"),
+        (lambda: gaussian_cluster(3, 10, std=np.inf), "std"),
+        (lambda: anisotropic_gaussian(2, 10, [1.0, np.nan]), "stds"),
+        (lambda: anisotropic_gaussian(2, 10, [np.inf, 1.0]), "stds"),
+        (lambda: shape_cluster("s_curve", 10, noise=np.nan), "noise"),
+        (lambda: shape_cluster("l_shape", 10, noise=np.inf), "noise"),
+    ],
+)
+def test_generators_name_a_parameter_that_is_not_finite(make, name):
+    # a NaN noise compares False with 0 either way, and once drew no noise at all
+    with pytest.raises(DataError, match=f"^{name} must be finite"):
+        make()
+
+
 def test_shape_cluster_deterministic():
     for kind in SHAPE_KINDS:
         a = shape_cluster(kind, 200, seed=9)

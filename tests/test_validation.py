@@ -1,3 +1,4 @@
+import gc
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -140,6 +141,26 @@ def test_mean_pairwise_dist_holds_one_node():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mean_pairwise_dist_memory_does_not_grow_with_the_cluster_count(threads):
+    # clusters of 3,000 points, whose 4.5 million pairs fill several runs:
+    # each call's run must be gone when it returns, as users run it, with
+    # the cyclic collector enabled
+    rng = np.random.default_rng(5)
+    peaks = []
+    for k in (2, 8):
+        cloud = PointCloud(rng.normal(size=(3_000 * k, 8)))
+        assignment = ClusterAssignment(np.repeat(np.arange(k), 3_000))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_measure(cloud, assignment, metrics=["mean_pairwise_dist"], threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < validation._BLOCK_BYTES
 
 
 # --- silhouette ---------------------------------------------------------------
